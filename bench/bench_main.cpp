@@ -2,10 +2,10 @@
 // plus the PPSFP fault simulator driven by a maximal-length LFSR, across the
 // ISCAS85 surrogate family.  Emits BENCH_fault_sim.json with gate-evals/sec
 // for both logic-sim paths (and their ratio), faults-dropped/sec for the
-// fault simulator, and the full mixed-scheme pipeline per circuit (LFSR
-// phase -> PODEM top-off -> compaction): top-off pattern counts and final
-// coverage under both fault-accounting conventions — the direct input for
-// the scheduler and area model.
+// fault simulator, and the mixed-scheme sweep per circuit (LFSR phase ->
+// PODEM top-off -> compaction at every --sweep-lengths candidate): top-off
+// pattern counts and final coverage under both fault-accounting conventions
+// — the direct input for the scheduler and area model.
 //
 // Every timed section follows the same statistical hygiene: one untimed
 // warmup pass (page in the scratch, warm the caches and the branch
@@ -14,16 +14,11 @@
 // suppress scheduler noise).  Each JSON section carries `reps` and
 // `seconds_best` so downstream comparisons know what they are looking at.
 //
-// The mixed-scheme section follows the same discipline (its own rep count,
-// --mixed-reps, since a pass is orders of magnitude more expensive than a
-// logic-sim pass) and reports a per-phase breakdown: lfsr_seconds /
-// podem_seconds / compact_seconds.  The sweep section evaluates the scheme
-// at --sweep-lengths candidate LFSR lengths two ways — the naive per-point
-// run_mixed_tpg loop (timed once; it is the slow baseline) and the
-// incremental run_mixed_sweep engine (warmup + best-of---sweep-reps) —
-// cross-checks that every per-point result is bit-identical, and reports
-// the naive/sweep speedup: the cost conversion that makes the scheduler's
-// length-vs-ROM trade-off search cheap.
+// The sweep section runs run_mixed_sweep — the one mixed-scheme engine —
+// with its own rep count (--sweep-reps, since a pass is orders of magnitude
+// more expensive than a logic-sim pass) and reports a per-phase breakdown
+// (lfsr/podem/compact/solve seconds) plus the PODEM call / cache-hit split
+// that makes the scheduler's length-vs-ROM trade-off search cheap.
 //
 // The bist_plan section closes the paper's loop: the scheduler picks the
 // knee of the sweep's length-vs-ROM trade-off (optionally under a
@@ -37,16 +32,15 @@
 // visible in CI logs.
 //
 // Robustness flags: --deadline-ms D arms a cooperative anytime deadline over
-// each mixed-scheme / sweep section (per circuit, per section), and
-// --job-timeout-ms J caps each circuit's whole pipeline; the tighter of the
-// two drives every section's Deadline.  Deadline-shaped runs degrade instead
-// of failing — the sweep yields LfsrOnly/Skipped points per its anytime
-// contract, the scheduler falls back to a degraded (LFSR-only) plan, and the
-// wrapper is still synthesized and self-verified.  Because results are then
-// wall-clock-shaped, the naive cross-check is skipped and each timed section
-// runs exactly once (no warmup/best-of, which would mix deadline states);
-// the JSON carries `state`/`status`/`degraded` fields so downstream tooling
-// can gate on them.
+// each circuit's sweep section, and --job-timeout-ms J caps each circuit's
+// whole pipeline; the tighter of the two drives the section's Deadline.
+// Deadline-shaped runs degrade instead of failing — the sweep yields
+// LfsrOnly/Skipped points per its anytime contract, the scheduler falls back
+// to a degraded (LFSR-only) plan, and the wrapper is still synthesized and
+// self-verified.  Because results are then wall-clock-shaped, each timed
+// section runs exactly once (no warmup/best-of, which would mix deadline
+// states); the JSON carries `state`/`status`/`degraded` fields so
+// downstream tooling can gate on them.
 //
 // The compressed test-data architecture is on by default: top-off cubes are
 // stored as LFSR reseeding schedules (seed ROM) with decoded fallback rows,
@@ -73,9 +67,8 @@
 //
 // Usage: bench_fault_sim [--patterns N] [--reps N] [--threads N] [--width W]
 //                        [--circuits c17,c6288s,...]
-//                        [--podem-backtracks N] [--no-mixed]
-//                        [--mixed-reps N] [--no-sweep] [--sweep-reps N]
-//                        [--sweep-lengths a,b,c]
+//                        [--podem-backtracks N] [--no-sweep]
+//                        [--sweep-reps N] [--sweep-lengths a,b,c]
 //                        [--no-bist] [--no-compress] [--budget N]
 //                        [--wrapper-dir DIR]
 //                        [--deadline-ms D] [--job-timeout-ms J]
@@ -86,18 +79,25 @@
 //                        [--health FILE] [--health-period-ms N]
 //                        [--chaos stage:circuit[:times[:transient|det]]]
 //                        [--out FILE] [--plot]
+//
+// Numeric flag values must be whole tokens in range ("64x", "-1" for an
+// unsigned count, or an overflowing value are rejected): a bad value prints
+// "error: invalid value for --<flag>" and exits 1.
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <csignal>
 #include <cstdint>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "bist/schedule.hpp"
@@ -213,29 +213,21 @@ std::string json_str(const std::string& s) {
   return os.str();
 }
 
-// Per-point equality of the fields the scheduler consumes — the sweep
-// engine's contract is that these are bit-identical to the naive loop.
-bool same_scheme_point(const bist::MixedSchemeResult& a,
-                       const bist::MixedSchemeResult& b) {
-  bool ok = true;
-  ok = ok && a.lfsr_patterns == b.lfsr_patterns;
-  ok = ok && a.tail_faults == b.tail_faults;
-  ok = ok && a.podem_detected == b.podem_detected;
-  ok = ok && a.redundant == b.redundant;
-  ok = ok && a.aborted == b.aborted;
-  ok = ok && a.podem_backtracks == b.podem_backtracks;
-  ok = ok && a.podem_decisions == b.podem_decisions;
-  ok = ok && a.topoff_before_compaction == b.topoff_before_compaction;
-  ok = ok && a.topoff_patterns == b.topoff_patterns;
-  ok = ok && a.topoff == b.topoff;
-  ok = ok && a.lfsr_coverage == b.lfsr_coverage;
-  ok = ok && a.lfsr_coverage_weighted == b.lfsr_coverage_weighted;
-  ok = ok && a.final_coverage == b.final_coverage;
-  ok = ok && a.final_coverage_weighted == b.final_coverage_weighted;
-  ok = ok && a.all_verified == b.all_verified;
-  ok = ok && a.lfsr_result.first_detected == b.lfsr_result.first_detected;
-  ok = ok && a.lfsr_result.coverage == b.lfsr_result.coverage;
-  return ok;
+// Whole-token CLI number: the entire value must parse (no trailing bytes,
+// no leading space), unsigned flags take no sign at all (std::from_chars
+// accepts none), durations must be finite and non-negative, and anything
+// outside T's range is an error — so "--patterns 64x" or "--threads -1" fail
+// loudly instead of running as 64 or 4294967295.
+template <typename T>
+T parse_num(const std::string& flag, const std::string& tok) {
+  T v{};
+  const char* end = tok.data() + tok.size();
+  const auto [p, ec] = std::from_chars(tok.data(), end, v);
+  bool ok = ec == std::errc{} && p == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(v) && v >= 0;
+  if (!ok)
+    throw std::invalid_argument("invalid value for " + flag + ": '" + tok + "'");
+  return v;
 }
 
 }  // namespace
@@ -262,6 +254,44 @@ struct JobModeConfig {
   unsigned retries = 1;
   std::string out_path;
 };
+
+// One job's report as a single-line JSON object — the shared shape of the
+// --jobs per-job entries and the --serve JSONL stream, so a service stream
+// and a cold batch are directly comparable.
+std::string jobreport_jsonl(const bist::JobReport& rep) {
+  std::ostringstream js;
+  js << "{\"name\": " << json_str(rep.name) << ", \"status\": "
+     << json_str(std::string(bist::stage_code_name(rep.status.code)))
+     << ", \"status_message\": " << json_str(rep.status.message)
+     << ", \"degraded\": " << (rep.degraded ? "true" : "false")
+     << ", \"wrapper_ok\": " << (rep.wrapper_ok ? "true" : "false")
+     << ", \"cache\": {\"consulted\": "
+     << (rep.cache.consulted ? "true" : "false")
+     << ", \"hit\": " << (rep.cache.hit ? "true" : "false")
+     << ", \"stored\": " << (rep.cache.stored ? "true" : "false")
+     << ", \"quarantined\": " << (rep.cache.quarantined ? "true" : "false")
+     << ", \"manifest\": " << (rep.cache.manifest ? "true" : "false")
+     << ", \"note\": " << json_str(rep.cache.note) << "}, \"stages\": [";
+  for (std::size_t s = 0; s < rep.stages.size(); ++s) {
+    const bist::StageReport& sr = rep.stages[s];
+    js << (s ? ", " : "") << "{\"name\": " << json_str(sr.name)
+       << ", \"status\": "
+       << json_str(std::string(bist::stage_code_name(sr.status.code)))
+       << ", \"attempts\": " << sr.attempts
+       << ", \"seconds\": " << json_num(sr.seconds) << "}";
+  }
+  js << "], \"chosen_length\": " << rep.plan.lfsr_patterns
+     << ", \"topoff_patterns\": " << rep.plan.topoff_patterns
+     << ", \"test_time\": " << rep.plan.test_time
+     << ", \"rom_bits\": " << rep.plan.rom_bits
+     << ", \"area_bits\": " << rep.plan.area.area_bits()
+     << ", \"final_coverage\": " << json_num(rep.plan.final_coverage)
+     << ", \"selfsim_cycles\": " << rep.verification.cycles
+     << ", \"selfsim_coverage\": "
+     << json_num(rep.verification.achieved_coverage)
+     << ", \"seconds\": " << json_num(rep.seconds) << "}";
+  return js.str();
+}
 
 int run_job_mode(const JobModeConfig& cfg) {
   std::vector<bist::JobSpec> specs;
@@ -338,40 +368,9 @@ int run_job_mode(const JobModeConfig& cfg) {
               << (rep.degraded ? " [DEGRADED]" : "") << " ("
               << bist::format_fixed(rep.seconds, 2) << "s)\n";
 
-    js << (i ? ",\n" : "") << "    {\n      \"name\": " << json_str(rep.name)
-       << ",\n      \"status\": "
-       << json_str(std::string(bist::stage_code_name(rep.status.code)))
-       << ",\n      \"degraded\": " << (rep.degraded ? "true" : "false")
-       << ",\n      \"wrapper_ok\": " << (rep.wrapper_ok ? "true" : "false")
-       << ",\n      \"cache\": {\"consulted\": "
-       << (rep.cache.consulted ? "true" : "false")
-       << ", \"hit\": " << (rep.cache.hit ? "true" : "false")
-       << ", \"stored\": " << (rep.cache.stored ? "true" : "false")
-       << ", \"quarantined\": " << (rep.cache.quarantined ? "true" : "false")
-       << ", \"manifest\": " << (rep.cache.manifest ? "true" : "false")
-       << ", \"note\": " << json_str(rep.cache.note) << "},\n"
-       << "      \"stages\": [";
-    for (std::size_t s = 0; s < rep.stages.size(); ++s) {
-      const bist::StageReport& sr = rep.stages[s];
+    for (const bist::StageReport& sr : rep.stages)
       retry_attempts += sr.attempts > 0 ? sr.attempts - 1 : 0;
-      js << (s ? ", " : "") << "{\"name\": " << json_str(sr.name)
-         << ", \"status\": "
-         << json_str(std::string(bist::stage_code_name(sr.status.code)))
-         << ", \"attempts\": " << sr.attempts
-         << ", \"seconds\": " << json_num(sr.seconds) << "}";
-    }
-    js << "],\n"
-       << "      \"chosen_length\": " << rep.plan.lfsr_patterns << ",\n"
-       << "      \"topoff_patterns\": " << rep.plan.topoff_patterns << ",\n"
-       << "      \"test_time\": " << rep.plan.test_time << ",\n"
-       << "      \"rom_bits\": " << rep.plan.rom_bits << ",\n"
-       << "      \"area_bits\": " << rep.plan.area.area_bits() << ",\n"
-       << "      \"final_coverage\": " << json_num(rep.plan.final_coverage)
-       << ",\n"
-       << "      \"selfsim_cycles\": " << rep.verification.cycles << ",\n"
-       << "      \"selfsim_coverage\": "
-       << json_num(rep.verification.achieved_coverage) << ",\n"
-       << "      \"seconds\": " << json_num(rep.seconds) << "\n    }";
+    js << (i ? ",\n" : "") << "    " << jobreport_jsonl(rep);
   }
   const bist::StoreStats ss =
       store ? store->stats() : bist::StoreStats{};
@@ -416,9 +415,9 @@ int run_job_mode(const JobModeConfig& cfg) {
 // whose bench text is the raw line, so a malformed submission is contained
 // as a parse-stage Error report instead of killing the server.  Every
 // submission streams exactly one JSONL report (--stream FILE, appended and
-// flushed per line) whose object shape matches the --jobs per-job entries,
-// so a service stream and a cold batch run are directly comparable once
-// volatile fields (seconds, attempts, cache provenance) are stripped.
+// flushed per line) rendered by jobreport_jsonl, like the --jobs per-job
+// entries, so a service stream and a cold batch run are directly comparable
+// once volatile fields (seconds, attempts, cache provenance) are stripped.
 // SIGTERM/SIGINT trigger a graceful drain bounded by --drain-ms: in-flight
 // work is cancelled at the deadline, queued work is dropped WITH a report,
 // and the manifest journal under --cache-dir lets a restarted server
@@ -445,41 +444,6 @@ struct ServeConfig {
   JobModeConfig job;  // shared spec/store/manifest knobs
 };
 
-std::string jobreport_jsonl(const bist::JobReport& rep) {
-  std::ostringstream js;
-  js << "{\"name\": " << json_str(rep.name) << ", \"status\": "
-     << json_str(std::string(bist::stage_code_name(rep.status.code)))
-     << ", \"status_message\": " << json_str(rep.status.message)
-     << ", \"degraded\": " << (rep.degraded ? "true" : "false")
-     << ", \"wrapper_ok\": " << (rep.wrapper_ok ? "true" : "false")
-     << ", \"cache\": {\"consulted\": "
-     << (rep.cache.consulted ? "true" : "false")
-     << ", \"hit\": " << (rep.cache.hit ? "true" : "false")
-     << ", \"stored\": " << (rep.cache.stored ? "true" : "false")
-     << ", \"quarantined\": " << (rep.cache.quarantined ? "true" : "false")
-     << ", \"manifest\": " << (rep.cache.manifest ? "true" : "false")
-     << ", \"note\": " << json_str(rep.cache.note) << "}, \"stages\": [";
-  for (std::size_t s = 0; s < rep.stages.size(); ++s) {
-    const bist::StageReport& sr = rep.stages[s];
-    js << (s ? ", " : "") << "{\"name\": " << json_str(sr.name)
-       << ", \"status\": "
-       << json_str(std::string(bist::stage_code_name(sr.status.code)))
-       << ", \"attempts\": " << sr.attempts
-       << ", \"seconds\": " << json_num(sr.seconds) << "}";
-  }
-  js << "], \"chosen_length\": " << rep.plan.lfsr_patterns
-     << ", \"topoff_patterns\": " << rep.plan.topoff_patterns
-     << ", \"test_time\": " << rep.plan.test_time
-     << ", \"rom_bits\": " << rep.plan.rom_bits
-     << ", \"area_bits\": " << rep.plan.area.area_bits()
-     << ", \"final_coverage\": " << json_num(rep.plan.final_coverage)
-     << ", \"selfsim_cycles\": " << rep.verification.cycles
-     << ", \"selfsim_coverage\": "
-     << json_num(rep.verification.achieved_coverage)
-     << ", \"seconds\": " << json_num(rep.seconds) << "}";
-  return js.str();
-}
-
 int run_serve_mode(const ServeConfig& cfg) {
   namespace fs = std::filesystem;
 
@@ -490,7 +454,7 @@ int run_serve_mode(const ServeConfig& cfg) {
       std::cerr << "error: --chaos wants stage:circuit[:times[:transient]]\n";
       return 2;
     }
-    const int times = parts.size() > 2 ? std::stoi(parts[2]) : -1;
+    const int times = parts.size() > 2 ? parse_num<int>("--chaos", parts[2]) : -1;
     const bool transient = parts.size() > 3 && parts[3] == "transient";
     bist::set_injected_failure(parts[0], parts[1], times, transient);
     std::cout << "chaos: injecting " << (transient ? "transient" : "sticky")
@@ -659,9 +623,7 @@ int run_bench(int argc, char** argv) {
   std::string out_path = "BENCH_fault_sim.json";
   std::vector<std::string> names = bist::iscas85_names();
   bool plot = false;
-  bool mixed = true;
   std::uint32_t podem_backtracks = 100;
-  int mixed_reps = 2;
   bool sweep = true;
   int sweep_reps = 2;
   std::vector<std::size_t> sweep_lengths;  // empty = derive from --patterns
@@ -688,39 +650,35 @@ int run_bench(int argc, char** argv) {
       return argv[++i];
     };
     if (a == "--patterns") {
-      patterns = std::stoul(next());
+      patterns = parse_num<std::size_t>(a, next());
     } else if (a == "--reps") {
-      reps = std::stoi(next());
+      reps = parse_num<int>(a, next());
     } else if (a == "--threads") {
-      threads = static_cast<unsigned>(std::stoul(next()));
+      threads = parse_num<unsigned>(a, next());
     } else if (a == "--width") {
-      width = static_cast<unsigned>(std::stoul(next()));
+      width = parse_num<unsigned>(a, next());
     } else if (a == "--out") {
       out_path = next();
     } else if (a == "--plot") {
       plot = true;
-    } else if (a == "--no-mixed") {
-      mixed = false;
     } else if (a == "--podem-backtracks") {
-      podem_backtracks = static_cast<std::uint32_t>(std::stoul(next()));
-    } else if (a == "--mixed-reps") {
-      mixed_reps = std::stoi(next());
+      podem_backtracks = parse_num<std::uint32_t>(a, next());
     } else if (a == "--no-sweep") {
       sweep = false;
     } else if (a == "--sweep-reps") {
-      sweep_reps = std::stoi(next());
+      sweep_reps = parse_num<int>(a, next());
     } else if (a == "--no-bist") {
       run_bist = false;
     } else if (a == "--no-compress") {
       compress = false;
     } else if (a == "--budget") {
-      budget = std::stoul(next());
+      budget = parse_num<std::size_t>(a, next());
     } else if (a == "--wrapper-dir") {
       wrapper_dir = next();
     } else if (a == "--deadline-ms") {
-      deadline_ms = std::stod(next());
+      deadline_ms = parse_num<double>(a, next());
     } else if (a == "--job-timeout-ms") {
-      job_timeout_ms = std::stod(next());
+      job_timeout_ms = parse_num<double>(a, next());
     } else if (a == "--jobs") {
       jobs_mode = true;
     } else if (a == "--cache-dir") {
@@ -730,7 +688,7 @@ int run_bench(int argc, char** argv) {
       resume = true;
       jobs_mode = true;
     } else if (a == "--retries") {
-      retries = static_cast<unsigned>(std::stoul(next()));
+      retries = parse_num<unsigned>(a, next());
     } else if (a == "--serve") {
       serve_mode = true;
     } else if (a == "--spool") {
@@ -740,26 +698,26 @@ int run_bench(int argc, char** argv) {
       serve.stream_path = next();
       serve_mode = true;
     } else if (a == "--drain-ms") {
-      serve.drain_ms = std::stod(next());
+      serve.drain_ms = parse_num<double>(a, next());
     } else if (a == "--queue-limit") {
-      serve.queue_limit = std::stoul(next());
+      serve.queue_limit = parse_num<std::size_t>(a, next());
     } else if (a == "--watchdog-ms") {
-      serve.watchdog_ms = std::stod(next());
+      serve.watchdog_ms = parse_num<double>(a, next());
     } else if (a == "--grace-ms") {
-      serve.grace_ms = std::stod(next());
+      serve.grace_ms = parse_num<double>(a, next());
     } else if (a == "--quarantine-after") {
-      serve.quarantine_after = std::stoi(next());
+      serve.quarantine_after = parse_num<int>(a, next());
     } else if (a == "--health") {
       serve.health_path = next();
     } else if (a == "--health-period-ms") {
-      serve.health_period_ms = std::stod(next());
+      serve.health_period_ms = parse_num<double>(a, next());
     } else if (a == "--chaos") {
       serve.chaos = next();
     } else if (a == "--sweep-lengths") {
       sweep_lengths.clear();
       const std::string list = next();
       for (auto tok : bist::split(list, ","))
-        sweep_lengths.push_back(std::stoul(std::string(tok)));
+        sweep_lengths.push_back(parse_num<std::size_t>(a, std::string(tok)));
     } else if (a == "--circuits") {
       names.clear();
       const std::string list = next();  // keep alive: split returns views
@@ -768,8 +726,8 @@ int run_bench(int argc, char** argv) {
     } else {
       std::cerr << "usage: bench_fault_sim [--patterns N] [--reps N] "
                    "[--threads N] [--width W] [--circuits a,b] "
-                   "[--podem-backtracks N] [--no-mixed] [--mixed-reps N] "
-                   "[--no-sweep] [--sweep-reps N] [--sweep-lengths a,b,c] "
+                   "[--podem-backtracks N] [--no-sweep] [--sweep-reps N] "
+                   "[--sweep-lengths a,b,c] "
                    "[--no-bist] [--no-compress] [--budget N] "
                    "[--wrapper-dir DIR] "
                    "[--deadline-ms D] [--job-timeout-ms J] "
@@ -784,18 +742,13 @@ int run_bench(int argc, char** argv) {
   }
   if (patterns == 0 || patterns % 64 != 0) patterns = ((patterns / 64) + 1) * 64;
   if (reps < 1) reps = 1;
-  if (mixed_reps < 1) mixed_reps = 1;
   if (sweep_reps < 1) sweep_reps = 1;
   // Deadline-shaped runs are not repeatable measurements: a warmup or a
   // best-of-N rep would consume a different slice of the budget each pass and
   // compare apples to anytime oranges.  Each deadlined section runs exactly
-  // once against a fresh Deadline, and the naive cross-check (which expects
-  // bit-identical Complete points) is skipped.
+  // once against a fresh Deadline.
   const bool anytime = deadline_ms > 0 || job_timeout_ms > 0;
-  if (anytime) {
-    mixed_reps = 1;
-    sweep_reps = 1;
-  }
+  if (anytime) sweep_reps = 1;
   if (sweep_lengths.empty()) {
     // Six points spanning the trade-off curve up to the full phase length.
     for (const double f : {0.125, 0.25, 0.375, 0.5, 0.75, 1.0}) {
@@ -870,9 +823,9 @@ int run_bench(int argc, char** argv) {
       }
       return s;
     };
-    // Section deadlines live at circuit scope: options structs hold a raw
-    // pointer into them across the section's run.
-    bist::Deadline mixed_dl, sweep_dl;
+    // The section deadline lives at circuit scope: the options struct holds
+    // a raw pointer into it across the section's run.
+    bist::Deadline sweep_dl;
 
     bist::Netlist n = bist::make_iscas85(name);
     const bist::NetlistStats st = bist::compute_stats(n);
@@ -923,76 +876,22 @@ int run_bench(int argc, char** argv) {
               << fr.word_width << "x64 lanes)\n";
 
     bist::MixedTpgOptions mopt;
-    mopt.lfsr_patterns = patterns;
     mopt.fsim = fopt;
     mopt.podem.backtrack_limit = podem_backtracks;
     mopt.podem_threads = threads;
     mopt.compress = compress;
 
-    bist::MixedSchemeResult mr;
-    double msecs = 0;
-    if (mixed && anytime) {
-      mixed_dl = bist::Deadline::after(section_budget());
-      mopt.deadline = &mixed_dl;
-    }
-    if (mixed) {
-      // Same hygiene as the sim sections: one untimed warmup, then
-      // mixed_reps timed full-pipeline passes (LFSR phase included — the
-      // per-phase breakdown wants the real thing, not the cached fr), best
-      // kept.  Results are identical every pass; only timing varies.
-      msecs = 1e30;
-      // anytime: no warmup pass — it would burn the (single, shared) budget.
-      for (int rep = anytime ? 0 : -1; rep < mixed_reps; ++rep) {
-        const auto tm0 = Clock::now();
-        bist::MixedSchemeResult cur = bist::run_mixed_tpg(kernel, fsim, mopt);
-        const double s = seconds_since(tm0);
-        if (rep < 0 || s < msecs) mr = std::move(cur);  // phase times follow best
-        if (rep >= 0) msecs = std::min(msecs, s);
-      }
-      all_verified = all_verified && mr.all_verified;
-      std::cout << name << ": mixed scheme " << mr.lfsr_patterns << " LFSR + "
-                << mr.topoff_patterns << " top-off patterns (tail "
-                << mr.tail_faults << ": " << mr.podem_detected << " podem, "
-                << mr.redundant << " redundant, " << mr.aborted
-                << " aborted), coverage "
-                << bist::format_fixed(100 * mr.lfsr_coverage, 2) << "% -> "
-                << bist::format_fixed(100 * mr.final_coverage, 2) << "%"
-                << " (" << bist::format_fixed(msecs, 2) << "s: lfsr "
-                << bist::format_fixed(mr.lfsr_seconds, 2) << " podem "
-                << bist::format_fixed(mr.podem_seconds, 2) << " compact "
-                << bist::format_fixed(mr.compact_seconds, 2) << ")"
-                << (mr.all_verified ? "" : " [VERIFY FAILED]") << "\n";
-      if (!mr.status.ok())
-        std::cout << name << ": mixed scheme degraded to "
-                  << bist::point_state_name(mr.state) << " ("
-                  << bist::stage_code_name(mr.status.code) << ")\n";
-    }
-
-    // --- Incremental sweep vs. the naive per-point loop ------------------
+    // --- Mixed-scheme sweep ----------------------------------------------
     bist::MixedSweepResult sw;
-    double naive_secs = 0, sweep_secs = 0;
-    bool sweep_match = true;
-    if (mixed && sweep) {
-      // Naive baseline: independent run_mixed_tpg per length, each paying
-      // its own LFSR fault-sim pass and full PODEM tail.  Timed once — it
-      // is the expensive side of the comparison, and the min-of-N treatment
-      // is reserved for the engine under test.
-      std::vector<bist::MixedSchemeResult> naive;
-      if (!anytime) {
-        const auto tn0 = Clock::now();
-        for (const std::size_t len : sweep_lengths) {
-          bist::MixedTpgOptions po = mopt;
-          po.lfsr_patterns = len;
-          naive.push_back(bist::run_mixed_tpg(kernel, fsim, po));
-        }
-        naive_secs = seconds_since(tn0);
-      }
-
+    double sweep_secs = 0;
+    bool sweep_verified = true;  // every point's top-off passed its check
+    if (sweep) {
       if (anytime) {
         sweep_dl = bist::Deadline::after(section_budget());
         mopt.deadline = &sweep_dl;
       }
       sweep_secs = 1e30;
+      // anytime: no warmup pass — it would burn the (single) budget.
       for (int rep = anytime ? 0 : -1; rep < sweep_reps; ++rep) {
         const auto ts0 = Clock::now();
         bist::MixedSweepResult cur =
@@ -1002,22 +901,11 @@ int run_bench(int argc, char** argv) {
         if (rep >= 0) sweep_secs = std::min(sweep_secs, s);
       }
 
-      if (!anytime) {
-        for (std::size_t p = 0; p < sweep_lengths.size(); ++p)
-          sweep_match = sweep_match && same_scheme_point(sw.points[p], naive[p]);
-        if (!sweep_match) {
-          std::cerr << name << ": sweep point results diverge from the naive "
-                       "per-point loop!\n";
-          return 1;
-        }
-      }
       for (const auto& pt : sw.points)
-        all_verified = all_verified && pt.all_verified;
-      const double ratio = sweep_secs > 0 ? naive_secs / sweep_secs : 0;
+        sweep_verified = sweep_verified && pt.all_verified;
+      all_verified = all_verified && sweep_verified;
       std::cout << name << ": sweep " << sweep_lengths.size() << " lengths in "
-                << bist::format_fixed(sweep_secs, 2) << "s vs naive "
-                << bist::format_fixed(naive_secs, 2) << "s (x"
-                << bist::format_fixed(ratio, 1) << ", podem "
+                << bist::format_fixed(sweep_secs, 2) << "s (podem "
                 << sw.stats.podem_calls << " calls + "
                 << sw.stats.podem_cache_hits << " cache hits, "
                 << sw.stats.podem_threads << " threads)\n";
@@ -1036,11 +924,11 @@ int run_bench(int argc, char** argv) {
     bist::WrapperVerification wv;
     std::string wrapper_file;
     double sched_secs = 0, synth_secs = 0, selfsim_secs = 0;
-    const bool do_bist = mixed && sweep && run_bist;
+    const bool do_bist = sweep && run_bist;
     if (!do_bist && run_bist && first) {
       // --budget / --wrapper-dir would be silently dead otherwise.
-      std::cerr << "note: BIST plan skipped (" << (mixed ? "--no-sweep" : "--no-mixed")
-                << " disables the sweep it schedules from)\n";
+      std::cerr << "note: BIST plan skipped (--no-sweep disables the sweep it "
+                   "schedules from)\n";
     }
     if (do_bist) {
       bist::ScheduleOptions so;
@@ -1139,43 +1027,7 @@ int run_bench(int argc, char** argv) {
        << "        \"faulty_gate_evals_per_sec\": "
        << json_num(fsecs > 0 ? double(fr.faulty_gate_evals) / fsecs : 0) << "\n"
        << "      }";
-    if (mixed) {
-      js << ",\n      \"mixed_tpg\": {\n"
-         << "        \"lfsr_patterns\": " << mr.lfsr_patterns << ",\n"
-         << "        \"tail_faults\": " << mr.tail_faults << ",\n"
-         << "        \"podem\": {\"detected\": " << mr.podem_detected
-         << ", \"redundant\": " << mr.redundant
-         << ", \"aborted\": " << mr.aborted
-         << ", \"backtracks\": " << mr.podem_backtracks
-         << ", \"decisions\": " << mr.podem_decisions << "},\n"
-         << "        \"podem_threads\": " << bist::resolve_threads(threads)
-         << ",\n"
-         << "        \"topoff_patterns\": " << mr.topoff_patterns << ",\n"
-         << "        \"topoff_before_compaction\": "
-         << mr.topoff_before_compaction << ",\n"
-         << "        \"lfsr_coverage\": " << json_num(mr.lfsr_coverage) << ",\n"
-         << "        \"lfsr_coverage_weighted\": "
-         << json_num(mr.lfsr_coverage_weighted) << ",\n"
-         << "        \"final_coverage\": " << json_num(mr.final_coverage) << ",\n"
-         << "        \"final_coverage_weighted\": "
-         << json_num(mr.final_coverage_weighted) << ",\n"
-         << "        \"patterns_verified\": "
-         << (mr.all_verified ? "true" : "false") << ",\n"
-         << "        \"state\": "
-         << json_str(std::string(bist::point_state_name(mr.state))) << ",\n"
-         << "        \"status\": "
-         << json_str(std::string(bist::stage_code_name(mr.status.code)))
-         << ",\n"
-         << "        \"reps\": " << mixed_reps << ",\n"
-         << "        \"seconds_best\": " << json_num(msecs) << ",\n"
-         << "        \"lfsr_seconds\": " << json_num(mr.lfsr_seconds) << ",\n"
-         << "        \"podem_seconds\": " << json_num(mr.podem_seconds) << ",\n"
-         << "        \"compact_seconds\": " << json_num(mr.compact_seconds)
-         << ",\n"
-         << "        \"solve_seconds\": " << json_num(mr.solve_seconds)
-         << "\n      }";
-    }
-    if (mixed && sweep) {
+    if (sweep) {
       js << ",\n      \"mixed_sweep\": {\n        \"lengths\": [";
       for (std::size_t p = 0; p < sweep_lengths.size(); ++p)
         js << (p ? ", " : "") << sweep_lengths[p];
@@ -1215,16 +1067,11 @@ int run_bench(int argc, char** argv) {
                             return pt.state == bist::PointState::Complete;
                           })
          << ",\n"
-         << "        \"naive_reps\": " << (anytime ? 0 : 1) << ",\n"
-         << "        \"naive_seconds\": " << json_num(naive_secs) << ",\n"
+         << "        \"patterns_verified\": "
+         << (sweep_verified ? "true" : "false") << ",\n"
          << "        \"sweep_reps\": " << sweep_reps << ",\n"
          << "        \"sweep_seconds_best\": " << json_num(sweep_secs) << ",\n"
-         << "        \"speedup_naive_over_sweep\": "
-         << json_num(sweep_secs > 0 ? naive_secs / sweep_secs : 0) << ",\n";
-      if (!anytime)
-        js << "        \"points_match_naive\": "
-           << (sweep_match ? "true" : "false") << ",\n";
-      js << "        \"deadline_ms\": " << json_num(deadline_ms)
+         << "        \"deadline_ms\": " << json_num(deadline_ms)
          << "\n      }";
     }
     if (do_bist) {

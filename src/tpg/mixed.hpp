@@ -12,7 +12,9 @@
 //
 // MixedSchemeResult carries the quantities the scheduler and area model
 // trade off: LFSR length vs. deterministic pattern count (ROM bits) and the
-// achieved coverage under both fault-accounting conventions.
+// achieved coverage under both fault-accounting conventions.  The engine is
+// run_mixed_sweep (tpg/sweep.hpp); a single LFSR length is a one-length
+// sweep.  This header holds only the option and result types.
 
 #include <cstdint>
 #include <vector>
@@ -28,7 +30,9 @@
 namespace bist {
 
 struct MixedTpgOptions {
-  std::size_t lfsr_patterns = 4096;  ///< pseudo-random phase length
+  /// Informational only: run_mixed_sweep ignores it (its `lengths` drive
+  /// the pseudo-random stream).
+  std::size_t lfsr_patterns = 4096;
   unsigned lfsr_degree = 32;
   std::uint64_t lfsr_seed = 0xBADC0FFEu;
   /// Fault-simulation engine knobs (threads, word width) for the LFSR phase
@@ -133,18 +137,5 @@ struct MixedSchemeResult {
   PointState state = PointState::Complete;
   StageStatus status;
 };
-
-/// Run the mixed scheme on a compiled circuit.  Deterministic for a given
-/// kernel + options.
-MixedSchemeResult run_mixed_tpg(const SimKernel& k,
-                                const MixedTpgOptions& opt = {});
-
-/// Same, reusing a prebuilt FaultSimulator (skips fault re-enumeration) and,
-/// when `lfsr_result` is non-null, a precomputed LFSR-phase result — the
-/// caller vouches that it came from `fsim` with the LFSR stream `opt`
-/// describes.  Used by the bench, which has already run the LFSR phase.
-MixedSchemeResult run_mixed_tpg(const SimKernel& k, FaultSimulator& fsim,
-                                const MixedTpgOptions& opt,
-                                const FaultSimResult* lfsr_result = nullptr);
 
 }  // namespace bist

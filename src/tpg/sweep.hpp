@@ -1,9 +1,9 @@
 #pragma once
-// Incremental mixed-scheme sweep: evaluate the paper's central trade-off —
-// LFSR test length vs. stored deterministic patterns (ROM bits) — at many
+// The mixed-scheme engine: evaluate the paper's central trade-off — LFSR
+// test length vs. stored deterministic patterns (ROM bits) — at one or more
 // candidate lengths for the cost of little more than one evaluation at the
-// longest.  Three stacked optimizations over the naive per-point
-// run_mixed_tpg loop:
+// longest.  A single length is a one-length sweep.  Three stacked
+// optimizations over evaluating each length independently:
 //
 //   one LFSR pass      the fault simulator runs once, at max(lengths); a
 //                      fault is in the tail at length L iff its
@@ -26,12 +26,11 @@
 //
 // Per-point X-fill, verification, compaction, and tail accounting still run
 // on the reused cubes (the fill stream replays per point, so the emitted
-// pattern sets match an independent run exactly).  Every per-point
-// MixedSchemeResult is bit-identical to run_mixed_tpg at that length —
+// pattern sets match an independent evaluation exactly).  Every point of a
+// multi-length sweep is bit-identical to a one-length sweep at that length —
 // tails, cube sets, verdicts, top-off patterns, and both coverage
-// conventions — at every thread count; the differential guarantee is
-// enforced by tests/test_mixed_sweep.cpp and the bench's naive-vs-sweep
-// cross-check.
+// conventions — at every thread count; tests/test_mixed_sweep.cpp enforces
+// that differential.
 
 #include <cstdint>
 #include <span>

@@ -1,11 +1,17 @@
-// Differential check of the incremental mixed-scheme sweep engine: every
-// sweep point must be bit-identical to an independent run_mixed_tpg at that
+// Differential check of the mixed-scheme sweep engine: every point of a
+// multi-length sweep must be bit-identical to a one-length sweep at that
 // length — tail size, PODEM verdicts and counters, the emitted top-off
 // pattern sets before and after compaction, both coverage conventions, and
 // the derived LFSR-phase prefix (first_detected + coverage-curve doubles) —
 // at every PODEM thread count in {1, 2, 8}, on the full ISCAS85 surrogate
-// family.  Also checks the prefix/tail helpers directly and the parallel
-// PODEM path of run_mixed_tpg itself against its serial reduction.
+// family.  The one-length references run their own LFSR pass of exactly L,
+// so this also pins prefix_result against a pass of that length and the
+// cross-point verdict cache against fresh PODEM runs.  Every reference point
+// must satisfy the mixed scheme's per-point invariants: all emitted patterns
+// fault-sim-verified against their targets, one verdict per tail fault,
+// 100% of the detectable faults covered, coverage monotone over the LFSR
+// phase, and compaction never growing the top-off set.  Also checks the
+// prefix/tail helpers directly.
 
 #include <algorithm>
 #include <string>
@@ -16,7 +22,6 @@
 #include "sim/kernel.hpp"
 #include "test_util.hpp"
 #include "tpg/lfsr.hpp"
-#include "tpg/mixed.hpp"
 #include "tpg/sweep.hpp"
 
 using namespace bist;
@@ -64,6 +69,49 @@ bool same_point(const MixedSchemeResult& a, const MixedSchemeResult& b) {
   return ok;
 }
 
+// Per-point invariants of a Complete mixed-scheme result on circuit `name`.
+void check_point(const std::string& name, const MixedSchemeResult& r) {
+  CHECK(r.state == PointState::Complete);
+  // All emitted patterns were confirmed by the fault simulator against
+  // their target faults, and every tail fault got exactly one verdict.
+  CHECK(r.all_verified);
+  CHECK_EQ(r.tail_faults, r.podem_detected + r.redundant + r.aborted);
+
+  // 100% of detectable (non-redundant, non-aborted) collapsed faults: the
+  // floor below is only reached if the emitted top-off set, re-simulated
+  // from scratch, actually detects every PODEM-detected tail fault —
+  // random fill may catch extra faults, never fewer.
+  const FaultSimResult& lr = r.lfsr_result;
+  const double floor_cov =
+      double(lr.sim_faults - r.redundant - r.aborted) / double(lr.sim_faults);
+  CHECK(r.final_coverage >= floor_cov);
+  CHECK(r.final_coverage <= 1.0);
+  CHECK(r.final_coverage_weighted <= 1.0);
+  CHECK(r.final_coverage >= r.lfsr_coverage);
+  CHECK(r.final_coverage_weighted >= r.lfsr_coverage_weighted);
+
+  // The surrogates embed random-pattern-resistant detectors, so every phase
+  // length here leaves a tail and keeps the top-off busy.
+  if (name != "c17") {
+    CHECK(r.tail_faults > 0u);
+    CHECK(r.topoff_patterns > 0u);
+  }
+  CHECK(r.topoff_patterns <= r.topoff_before_compaction);
+  CHECK_EQ(r.topoff.size(), r.topoff_patterns);
+
+  // Weighted accounting stays glued to the enumerated-fault convention.
+  CHECK_EQ(lr.total_weight, lr.total_faults);
+
+  // C17 at a 64-pattern phase: everything is testable (C17 has no
+  // redundant faults), so the scheme reaches full coverage.
+  if (name == "c17" && r.lfsr_patterns == 64) {
+    CHECK_EQ(r.redundant, 0u);
+    CHECK_EQ(r.aborted, 0u);
+    CHECK_EQ(r.final_coverage, 1.0);
+    CHECK_EQ(r.final_coverage_weighted, 1.0);
+  }
+}
+
 }  // namespace
 
 int main() {
@@ -74,8 +122,8 @@ int main() {
 
     // Unsorted with a duplicate: the engine must hand results back in caller
     // order regardless of its internal descending evaluation.  The deep
-    // 7-point sweep down to a 64-pattern phase (large tails, so the naive
-    // reference loop is expensive) runs on two representative circuits; the
+    // 7-point sweep down to a 64-pattern phase (large tails, so the
+    // one-length references are expensive) runs on three small circuits; the
     // rest of the family gets 3 moderate lengths to keep the runtime sane.
     const bool deep = name == "c17" || name == "c432s" || name == "c880s";
     const std::vector<std::size_t> lengths =
@@ -85,7 +133,7 @@ int main() {
 
     MixedTpgOptions opt;
     // Small abort budget: the surrogate tails are mostly hard reconvergent
-    // faults that burn the whole limit, so the naive reference loop's cost
+    // faults that burn the whole limit, so the one-length references' cost
     // scales with it; 20 keeps detected/redundant/aborted all represented.
     opt.podem.backtrack_limit = 20;
     opt.fsim.threads = 4;  // fsim engine knobs never change detection results
@@ -111,8 +159,9 @@ int main() {
                full.sim_faults - full.detected);
     }
 
-    // Independent per-length references (serial PODEM reduction); duplicate
-    // lengths reuse the first computation — run_mixed_tpg is deterministic.
+    // Independent per-length references: one-length sweeps, serial PODEM
+    // reduction.  Duplicate lengths reuse the first computation — the
+    // engine is deterministic.
     std::vector<MixedSchemeResult> ref;
     for (std::size_t p = 0; p < lengths.size(); ++p) {
       const auto prev = std::find(lengths.begin(), lengths.begin() + p, lengths[p]);
@@ -121,9 +170,13 @@ int main() {
         continue;
       }
       MixedTpgOptions o = opt;
-      o.lfsr_patterns = lengths[p];
       o.podem_threads = 1;
-      ref.push_back(run_mixed_tpg(k, fsim, o));
+      const std::size_t one[] = {lengths[p]};
+      MixedSweepResult single = run_mixed_sweep(k, fsim, one, o);
+      CHECK_EQ(single.points.size(), 1u);
+      CHECK_EQ(single.stats.podem_cache_hits, 0u);
+      check_point(name, single.points[0]);
+      ref.push_back(std::move(single.points[0]));
     }
 
     for (const unsigned threads : {1u, 2u, 8u}) {
@@ -149,24 +202,6 @@ int main() {
       CHECK_EQ(sw.stats.podem_calls + sw.stats.podem_cache_hits,
                distinct_tails);
       CHECK_EQ(sw.stats.podem_threads, threads);
-    }
-  }
-
-  // run_mixed_tpg's own parallel PODEM path must match its serial reduction
-  // (one representative circuit keeps the runtime sane; the sweep loop above
-  // already covers the batch engine at every thread count).
-  {
-    const Netlist n = make_iscas85("c432s");
-    const SimKernel k(n);
-    FaultSimulator fsim(k);
-    MixedTpgOptions o;
-    o.lfsr_patterns = 256;
-    o.podem.backtrack_limit = 50;
-    o.podem_threads = 1;
-    const MixedSchemeResult ref = run_mixed_tpg(k, fsim, o);
-    for (const unsigned threads : {2u, 8u}) {
-      o.podem_threads = threads;
-      CHECK(same_point(run_mixed_tpg(k, fsim, o), ref));
     }
   }
 

@@ -121,7 +121,7 @@ int main() {
   }
 
   // The FFR engine must also agree with legacy on an explicit sub-list with
-  // weights (the tail-fault path run_mixed_tpg exercises).
+  // weights (the tail-fault path the mixed-scheme sweep exercises).
   {
     const Netlist n = make_iscas85("c432s");
     const SimKernel k(n);

@@ -365,57 +365,69 @@ static void test_sweep_generous_deadline_identity() {
 static void test_sweep_midflight_degradation() {
   const Netlist n = make_iscas85("c432s");
   const SimKernel k(n);
-  const std::vector<std::size_t> lengths{512, 1024, 2048};
+  // A single length is a one-length sweep, so its deadline behaviour runs
+  // through the same Skipped -> anytime-floor path as a multi-length sweep.
+  for (const std::vector<std::size_t>& lengths :
+       {std::vector<std::size_t>{512, 1024, 2048},
+        std::vector<std::size_t>{1024}}) {
+    MixedTpgOptions opt;
+    const MixedSweepResult base = run_mixed_sweep(k, lengths, opt);
 
-  MixedTpgOptions opt;
-  const MixedSweepResult base = run_mixed_sweep(k, lengths, opt);
-
-  // Fire the deadline at a spread of cooperative checks.  Wherever it lands,
-  // the invariants hold: Complete points are bit-identical to the baseline,
-  // LfsrOnly points carry the exact LFSR prefix data, something schedulable
-  // always survives, and the sweep-level status reflects the cut.
-  for (const std::uint64_t polls : {0ull, 1ull, 8ull, 512ull, 100000ull}) {
-    MixedTpgOptions o;
-    Deadline d = Deadline::after_checks(polls);
-    o.deadline = &d;
-    const MixedSweepResult sw = run_mixed_sweep(k, lengths, o);
-    CHECK_EQ(sw.points.size(), lengths.size());
-    bool usable = false;
-    bool cut = false;
-    for (std::size_t i = 0; i < sw.points.size(); ++i) {
-      const MixedSchemeResult& p = sw.points[i];
-      if (p.state == PointState::Complete) {
-        CHECK(p.status.ok());
-        CHECK(points_identical(p, base.points[i]));
-        usable = true;
-      } else if (p.state == PointState::LfsrOnly) {
-        cut = true;
-        usable = true;
-        CHECK(!p.status.ok());
-        CHECK(p.topoff.empty());
-        CHECK(p.final_coverage == p.lfsr_coverage);
-        // The LFSR data is an exact prefix of the baseline's shared pass.
-        if (p.lfsr_patterns == base.points[i].lfsr_patterns)
-          CHECK(p.lfsr_result.patterns <= p.lfsr_patterns);
-      } else {
-        cut = true;
-        CHECK(!p.status.ok());
+    // Fire the deadline at a spread of cooperative checks.  Wherever it
+    // lands, the invariants hold: Complete points are bit-identical to the
+    // baseline, LfsrOnly points carry the exact LFSR prefix data, something
+    // schedulable always survives, and the sweep-level status reflects the
+    // cut.
+    for (const std::uint64_t polls : {0ull, 1ull, 8ull, 512ull, 100000ull}) {
+      MixedTpgOptions o;
+      Deadline d = Deadline::after_checks(polls);
+      o.deadline = &d;
+      const MixedSweepResult sw = run_mixed_sweep(k, lengths, o);
+      CHECK_EQ(sw.points.size(), lengths.size());
+      bool usable = false;
+      bool cut = false;
+      for (std::size_t i = 0; i < sw.points.size(); ++i) {
+        const MixedSchemeResult& p = sw.points[i];
+        if (p.state == PointState::Complete) {
+          CHECK(p.status.ok());
+          CHECK(points_identical(p, base.points[i]));
+          usable = true;
+        } else if (p.state == PointState::LfsrOnly) {
+          cut = true;
+          usable = true;
+          CHECK(!p.status.ok());
+          CHECK(p.topoff.empty());
+          CHECK(p.final_coverage == p.lfsr_coverage);
+          // The LFSR data is an exact prefix of the baseline's shared pass.
+          if (p.lfsr_patterns == base.points[i].lfsr_patterns)
+            CHECK(p.lfsr_result.patterns <= p.lfsr_patterns);
+        } else {
+          cut = true;
+          CHECK(!p.status.ok());
+        }
       }
-    }
-    CHECK(usable);
-    CHECK_EQ(cut, !sw.status.ok());
+      CHECK(usable);
+      CHECK_EQ(cut, !sw.status.ok());
+      // An immediate deadline beats the shared pass, so the floor rebuilds
+      // the min-length point as an exact LfsrOnly point.
+      if (polls == 0 && lengths.size() == 1) {
+        CHECK(sw.points[0].state == PointState::LfsrOnly);
+        CHECK_EQ(sw.points[0].lfsr_result.patterns, lengths[0]);
+        CHECK(sw.points[0].lfsr_coverage == base.points[0].lfsr_coverage);
+      }
 
-    // Whatever survived must schedule; a plan from a gutted sweep is marked
-    // degraded and still synthesizes + verifies.
-    ScheduleOptions so;
-    const BistPlan plan = schedule_bist(sw, n.input_count(), so);
-    if (polls == 0) {
-      CHECK(plan.degraded);
-      CHECK_EQ(plan.topoff_patterns, 0u);
-      const BistSynthResult syn = synthesize_bist_wrapper(n, plan);
-      const WrapperVerification wv = verify_wrapper(
-          syn.wrapper, n, plan, sw.points[plan.point_index], {});
-      CHECK(wv.ok());
+      // Whatever survived must schedule; a plan from a gutted sweep is
+      // marked degraded and still synthesizes + verifies.
+      ScheduleOptions so;
+      const BistPlan plan = schedule_bist(sw, n.input_count(), so);
+      if (polls == 0) {
+        CHECK(plan.degraded);
+        CHECK_EQ(plan.topoff_patterns, 0u);
+        const BistSynthResult syn = synthesize_bist_wrapper(n, plan);
+        const WrapperVerification wv = verify_wrapper(
+            syn.wrapper, n, plan, sw.points[plan.point_index], {});
+        CHECK(wv.ok());
+      }
     }
   }
 }
