@@ -45,12 +45,13 @@
 // The compressed test-data architecture is on by default: top-off cubes are
 // stored as LFSR reseeding schedules (seed ROM) with decoded fallback rows,
 // and a MISR compacts the CUT responses into one signature checked on-chip.
-// --no-compress selects the legacy fully decoded ROM + per-pattern-compare
-// architecture; the bist_plan section then reports rom_bits only and the
-// compression fields are zero.  Compressed runs report seed_rom_bits /
-// misr_bits / fallback_rows, the compression ratio against the decoded
-// encoding of the same top-off set, and the empirical aliasing audit
-// (aliasing_escapes must be 0 for wrapper_matches_plan to hold).
+// --no-compress selects the paper's decoded ROM + per-pattern-compare
+// architecture, the same row model with every row a decoded fallback row
+// and no MISR: the bist_plan section then reports fallback_rows ==
+// topoff_patterns and zero seed/MISR fields.  Compressed runs report
+// seed_rom_bits / misr_bits / fallback_rows, the compression ratio against
+// the decoded encoding of the same top-off set, and the empirical aliasing
+// audit (aliasing_escapes must be 0 for wrapper_matches_plan to hold).
 //
 // Batch (jobs) mode: --jobs switches to the fault-tolerant pipeline driver
 // (run_job_batch) — one JobSpec per circuit, same knobs as the classic
@@ -92,6 +93,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -293,27 +295,34 @@ std::string jobreport_jsonl(const bist::JobReport& rep) {
   return js.str();
 }
 
+// One job for `name` over `bench_text` under the run-wide knobs of `cfg` —
+// the spec every --jobs entry and --serve submission is built from.
+bist::JobSpec make_job_spec(const JobModeConfig& cfg, const std::string& name,
+                            std::string bench_text) {
+  bist::JobSpec spec;
+  spec.name = name;
+  spec.bench_text = std::move(bench_text);
+  spec.sweep_lengths = cfg.sweep_lengths;
+  spec.tpg.lfsr_patterns = cfg.patterns;
+  spec.tpg.fsim = cfg.fopt;
+  spec.tpg.podem.backtrack_limit = cfg.podem_backtracks;
+  spec.tpg.podem_threads = cfg.threads;
+  spec.tpg.compress = cfg.compress;
+  spec.schedule.test_time_budget = cfg.budget;
+  spec.schedule.lfsr_degree = spec.tpg.lfsr_degree;
+  spec.schedule.lfsr_seed = spec.tpg.lfsr_seed;
+  spec.sweep_deadline_s = cfg.deadline_ms / 1000.0;
+  spec.job_timeout_s = cfg.job_timeout_ms / 1000.0;
+  spec.retry.attempts = std::max(1u, cfg.retries);
+  return spec;
+}
+
 int run_job_mode(const JobModeConfig& cfg) {
   std::vector<bist::JobSpec> specs;
   specs.reserve(cfg.names.size());
-  for (const std::string& name : cfg.names) {
-    bist::JobSpec spec;
-    spec.name = name;
-    spec.bench_text = bist::write_bench(bist::make_iscas85(name));
-    spec.sweep_lengths = cfg.sweep_lengths;
-    spec.tpg.lfsr_patterns = cfg.patterns;
-    spec.tpg.fsim = cfg.fopt;
-    spec.tpg.podem.backtrack_limit = cfg.podem_backtracks;
-    spec.tpg.podem_threads = cfg.threads;
-    spec.tpg.compress = cfg.compress;
-    spec.schedule.test_time_budget = cfg.budget;
-    spec.schedule.lfsr_degree = spec.tpg.lfsr_degree;
-    spec.schedule.lfsr_seed = spec.tpg.lfsr_seed;
-    spec.sweep_deadline_s = cfg.deadline_ms / 1000.0;
-    spec.job_timeout_s = cfg.job_timeout_ms / 1000.0;
-    spec.retry.attempts = std::max(1u, cfg.retries);
-    specs.push_back(std::move(spec));
-  }
+  for (const std::string& name : cfg.names)
+    specs.push_back(
+        make_job_spec(cfg, name, bist::write_bench(bist::make_iscas85(name))));
 
   // The store and the manifest live side by side under --cache-dir; a batch
   // without one runs uncached (and --resume has nothing to replay from).
@@ -498,39 +507,37 @@ int run_serve_mode(const ServeConfig& cfg) {
   std::signal(SIGTERM, handle_stop_signal);
   std::signal(SIGINT, handle_stop_signal);
 
-  // One submission line: `<circuit> [client=NAME] [priority=N]`.
+  // One submission line: `<circuit> [client=NAME] [priority=N]`.  An
+  // unknown circuit or a malformed/out-of-range priority ships the raw line
+  // as the bench text, so the parse stage contains the failure as a per-job
+  // Error report instead of a server fault.
   const auto submit_line = [&](const std::string& line) {
     std::istringstream is(line);
     std::string name, tok, client;
     int priority = 0;
+    bool bad_field = false;
     if (!(is >> name) || name[0] == '#') return;  // blank / comment
     while (is >> tok) {
-      if (tok.rfind("client=", 0) == 0) client = tok.substr(7);
-      else if (tok.rfind("priority=", 0) == 0)
-        priority = std::stoi(tok.substr(9));
+      if (tok.rfind("client=", 0) == 0) {
+        client = tok.substr(7);
+      } else if (tok.rfind("priority=", 0) == 0) {
+        try {
+          priority = parse_num<int>("priority", tok.substr(9));
+        } catch (const std::invalid_argument&) {
+          bad_field = true;
+        }
+      }
     }
-    bist::JobSpec spec;
-    spec.name = name;
-    try {
-      spec.bench_text = bist::write_bench(bist::make_iscas85(name));
-    } catch (const std::exception&) {
-      // Unknown circuit: ship the raw line as the bench text so the parse
-      // stage contains the failure as a per-job Error, not a server fault.
-      spec.bench_text = line;
+    std::string bench_text = line;
+    if (!bad_field) {
+      try {
+        bench_text = bist::write_bench(bist::make_iscas85(name));
+      } catch (const std::exception&) {
+        // unknown circuit: keep the raw line
+      }
     }
-    spec.sweep_lengths = cfg.job.sweep_lengths;
-    spec.tpg.lfsr_patterns = cfg.job.patterns;
-    spec.tpg.fsim = cfg.job.fopt;
-    spec.tpg.podem.backtrack_limit = cfg.job.podem_backtracks;
-    spec.tpg.podem_threads = cfg.job.threads;
-    spec.tpg.compress = cfg.job.compress;
-    spec.schedule.test_time_budget = cfg.job.budget;
-    spec.schedule.lfsr_degree = spec.tpg.lfsr_degree;
-    spec.schedule.lfsr_seed = spec.tpg.lfsr_seed;
-    spec.sweep_deadline_s = cfg.job.deadline_ms / 1000.0;
-    spec.job_timeout_s = cfg.job.job_timeout_ms / 1000.0;
-    spec.retry.attempts = std::max(1u, cfg.job.retries);
-    const bist::SubmitResult r = svc.submit(std::move(spec), client, priority);
+    const bist::SubmitResult r = svc.submit(
+        make_job_spec(cfg.job, name, std::move(bench_text)), client, priority);
     std::cout << "submit " << name << ": " << bist::submit_code_name(r.code)
               << " (ticket " << r.ticket << ")\n";
   };
@@ -740,7 +747,14 @@ int run_bench(int argc, char** argv) {
       return 2;
     }
   }
-  if (patterns == 0 || patterns % 64 != 0) patterns = ((patterns / 64) + 1) * 64;
+  if (patterns == 0 || patterns % 64 != 0) {
+    // Round up to whole 64-pattern blocks; a value whose round-up does not
+    // fit in size_t is as invalid as a malformed one.
+    if (patterns > std::numeric_limits<std::size_t>::max() - 64)
+      throw std::invalid_argument("invalid value for --patterns: '" +
+                                  std::to_string(patterns) + "'");
+    patterns = ((patterns / 64) + 1) * 64;
+  }
   if (reps < 1) reps = 1;
   if (sweep_reps < 1) sweep_reps = 1;
   // Deadline-shaped runs are not repeatable measurements: a warmup or a
@@ -971,7 +985,7 @@ int run_bench(int argc, char** argv) {
                 << bist::format_fixed(sched_secs + synth_secs + selfsim_secs, 2)
                 << "s)" << (plan.degraded ? " [DEGRADED: LFSR-only tier]" : "")
                 << "\n";
-      if (plan.comp.enabled) {
+      if (compress) {
         const std::uint64_t decoded =
             std::uint64_t(plan.topoff_patterns) * n.input_count();
         const std::uint64_t stored =
@@ -1088,7 +1102,7 @@ int run_bench(int argc, char** argv) {
          << "        \"rom_bits\": " << plan.rom_bits << ",\n"
          << "        \"state_bits\": " << plan.area.state_bits << ",\n"
          << "        \"area_bits\": " << plan.area.area_bits() << ",\n"
-         << "        \"compress\": " << (plan.comp.enabled ? "true" : "false")
+         << "        \"compress\": " << (compress ? "true" : "false")
          << ",\n"
          << "        \"seed_rom_bits\": " << plan.area.seed_rom_bits << ",\n"
          << "        \"misr_bits\": " << plan.area.misr_bits << ",\n"

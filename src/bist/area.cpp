@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <map>
+#include <stdexcept>
 
 namespace bist {
 
@@ -38,74 +39,11 @@ std::size_t counter_width(std::size_t total_cycles) {
 BistArea estimate_bist_area(const AreaModel& m, unsigned lfsr_degree,
                             std::uint64_t lfsr_taps, std::size_t cut_inputs,
                             std::span<const BitVec> topoff,
-                            std::size_t lfsr_patterns) {
-  BistArea a;
-  const std::size_t w = cut_inputs;
-  const std::size_t t = topoff.size();
-  const std::size_t total = lfsr_patterns + t;
-  const std::size_t c = counter_width(total);
-
-  a.rom_bits = t * w;
-  a.state_bits = lfsr_degree + c;
-
-  // LFSR: degree FFs, one feedback XOR network per pattern bit (the
-  // test-per-clock unrolling shifts `w` times per applied pattern), and the
-  // degree next-state output buffers of the one-frame wrapper.
-  const unsigned taps = static_cast<unsigned>(std::popcount(lfsr_taps));
-  const double fb = taps >= 2 ? double(taps - 1) * m.xor2 : m.buf1;
-  a.lfsr = double(lfsr_degree) * m.flipflop + double(w) * fb +
-           double(lfsr_degree) * m.buf1;
-
-  // Controller: counter FFs + ripple increment (1 NOT, c-1 XOR2, c-2 AND2
-  // carries) + c next-state buffers + one c-literal decode AND per ROM row
-  // with shared inverters for the bits that appear complemented in at least
-  // one row address.
-  a.controller = double(c) * m.flipflop + m.not1 +
-                 double(c > 0 ? c - 1 : 0) * m.xor2 +
-                 double(c > 2 ? c - 2 : 0) * m.and2 + double(c) * m.buf1;
-  if (t > 0) {
-    const double decode = c >= 2 ? double(c - 1) * m.and2 : m.buf1;
-    std::uint64_t inv_mask = 0;
-    const std::uint64_t cmask =
-        c >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << c) - 1);
-    for (std::size_t j = 0; j < t; ++j)
-      inv_mask |= ~std::uint64_t(lfsr_patterns + j) & cmask;
-    a.controller += double(t) * decode +
-                    double(std::popcount(inv_mask)) * m.not1;
-  }
-
-  // ROM OR plane: per CUT input, an OR over the rows whose stored bit is
-  // set — priced exactly from the pattern set's per-column popcounts.
-  std::vector<std::size_t> col_rows(w, 0);
-  for (std::size_t i = 0; i < w; ++i)
-    for (const BitVec& p : topoff) col_rows[i] += p.get(i);
-  for (std::size_t i = 0; i < w; ++i)
-    if (col_rows[i] >= 2) a.rom += double(col_rows[i] - 1) * m.and2;
-
-  // Muxing: per CUT input an AND leg gating the LFSR bit with the phase
-  // select, merged with the ROM column by an OR when the column has any set
-  // bit (an all-zero column needs only the gated leg); phase select = OR of
-  // the row decodes plus the shared inverter.
-  if (t > 0) {
-    a.mux = m.not1;
-    for (std::size_t i = 0; i < w; ++i)
-      a.mux += col_rows[i] ? m.and2 + m.and2 : m.and2;
-    const double phase_or = t >= 2 ? double(t - 1) * m.and2 : m.buf1;
-    a.mux += phase_or;  // bist_det = OR of the row selects
-  } else {
-    a.mux = double(w) * m.buf1;
-  }
-  return a;
-}
-
-BistArea estimate_bist_area(const AreaModel& m, unsigned lfsr_degree,
-                            std::uint64_t lfsr_taps, std::size_t cut_inputs,
-                            std::span<const BitVec> topoff,
                             std::size_t lfsr_patterns,
                             const CompressedTopoff& comp) {
-  if (!comp.enabled)
-    return estimate_bist_area(m, lfsr_degree, lfsr_taps, cut_inputs, topoff,
-                              lfsr_patterns);
+  if (comp.fallback.size() != topoff.size())
+    throw std::invalid_argument(
+        "estimate_bist_area: row flags do not match the top-off set");
   BistArea a;
   const std::size_t w = cut_inputs;
   const std::size_t t = topoff.size();
@@ -120,14 +58,18 @@ BistArea estimate_bist_area(const AreaModel& m, unsigned lfsr_degree,
   a.misr_bits = K;
   a.state_bits = D + c + K;
 
-  // LFSR core: unchanged from the legacy architecture.
+  // LFSR: D FFs, one feedback XOR network per pattern bit (the
+  // test-per-clock unrolling shifts `w` times per applied pattern), and the
+  // D next-state output buffers of the one-frame wrapper.
   const unsigned taps = static_cast<unsigned>(std::popcount(lfsr_taps));
   const double fb = taps >= 2 ? double(taps - 1) * m.xor2 : m.buf1;
   a.lfsr = double(D) * m.flipflop + double(w) * fb + double(D) * m.buf1;
 
-  // Controller: counter + row decodes exactly as legacy (every row needs its
-  // decode: seeded rows feed the load selects and seed planes, fallback rows
-  // the ROM plane), plus the per-offset reseed load selects.
+  // Controller: counter FFs + ripple increment (1 NOT, c-1 XOR2, c-2 AND2
+  // carries) + c next-state buffers + one c-literal decode AND per row (seeded
+  // rows feed the load selects and seed planes, fallback rows the ROM plane)
+  // with shared inverters for the bits that appear complemented in at least
+  // one row address, plus the per-offset reseed load selects.
   a.controller = double(c) * m.flipflop + m.not1 +
                  double(c > 0 ? c - 1 : 0) * m.xor2 +
                  double(c > 2 ? c - 2 : 0) * m.and2 + double(c) * m.buf1;
@@ -165,10 +107,12 @@ BistArea estimate_bist_area(const AreaModel& m, unsigned lfsr_degree,
     }
   }
 
-  // Decoded fallback rows: ROM OR plane over fallback rows only, and the
-  // phase mux gated by the OR of the fallback-row decodes.  With no fallback
-  // rows the CUT inputs ride the chain taps directly (one buffer each, the
-  // same shape as a zero-top-off legacy wrapper).
+  // Decoded fallback rows: ROM OR plane (per CUT input, an OR over the
+  // fallback rows whose stored bit is set), and per CUT input an AND leg
+  // gating the chain bit with the phase select, merged with the ROM column
+  // by an OR when the column has any set bit; phase select = OR of the
+  // fallback-row decodes plus its inverter.  With no fallback rows the CUT
+  // inputs ride the chain taps directly (one buffer each).
   std::vector<std::size_t> col_rows(w, 0);
   for (std::size_t j = 0; j < t; ++j)
     if (comp.fallback[j])

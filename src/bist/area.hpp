@@ -16,10 +16,10 @@
 //                         enough to evaluate at every sweep point; it prices
 //                         exactly the structure synthesize_bist_wrapper()
 //                         emits (the differential test asserts the totals
-//                         reconcile per block).  Two overloads: the legacy
-//                         fully decoded ROM architecture, and the compressed
-//                         architecture (LFSR reseeding + MISR) driven by a
-//                         CompressedTopoff.
+//                         reconcile per block).  It reads the point's row
+//                         model (CompressedTopoff): seeded rows, decoded
+//                         fallback rows and the optional MISR — the paper's
+//                         decoded ROM is the all-fallback, MISR-less case.
 //
 // Storage is tracked separately from logic: `rom_bits` (decoded pattern bits
 // actually stored), `seed_rom_bits` (reseeding seeds x LFSR degree) and
@@ -61,16 +61,14 @@ std::size_t counter_width(std::size_t total_cycles);
 /// Area breakdown of one BIST configuration, in GE plus storage-bit counts.
 struct BistArea {
   double lfsr = 0;        ///< state FFs + per-pattern feedback XOR networks
-  double rom = 0;         ///< decoded-logic ROM OR plane (under compression:
-                          ///< fallback rows only)
-  double seed_rom = 0;    ///< seed-ROM OR planes (compressed mode)
+  double rom = 0;         ///< decoded-logic ROM OR plane (fallback rows)
+  double seed_rom = 0;    ///< seed-ROM OR planes (seeded rows)
   double controller = 0;  ///< counter FFs + increment + row decode + reseed
                           ///< load selects
   double mux = 0;         ///< per-CUT-input pattern muxing + reseed load
                           ///< muxes into the LFSR chain
   double misr = 0;        ///< MISR FFs + fold XORs + signature comparator
-  /// Decoded pattern bits actually stored: patterns x width legacy; fallback
-  /// rows x width under compression.
+  /// Decoded pattern bits actually stored: fallback rows x width.
   std::size_t rom_bits = 0;
   std::size_t seed_rom_bits = 0;  ///< reseeding seeds x LFSR degree
   /// MISR degree — a reporting view of the compactor's flip-flops, already
@@ -87,22 +85,17 @@ struct BistArea {
   }
 };
 
-/// Closed-form estimate for a candidate point, legacy fully decoded ROM
-/// architecture.  `topoff` is the point's stored pattern set (its size and
-/// set-bit count price the ROM exactly; the decode/mux terms are
-/// structural).  `lfsr_patterns` is the pseudo-random phase length (it sizes
-/// the cycle counter together with the top-off count).  Deterministic pure
-/// function of its arguments.
-BistArea estimate_bist_area(const AreaModel& m, unsigned lfsr_degree,
-                            std::uint64_t lfsr_taps, std::size_t cut_inputs,
-                            std::span<const BitVec> topoff,
-                            std::size_t lfsr_patterns);
-
-/// Compressed-architecture overload: prices the reseeding datapath (seed-ROM
-/// OR planes, per-offset load muxes and selects), the decoded fallback rows,
-/// and the MISR (fold XORs sized by comp.cut_outputs, comparator sized by
-/// comp.golden) exactly as synthesize_bist_wrapper emits them.  Falls back
-/// to the legacy estimate when comp.enabled is false.
+/// Closed-form estimate for a candidate point.  `topoff` is the point's
+/// stored pattern set and `comp` its row model (one fallback flag per row,
+/// seed schedules, MISR spec).  Prices the reseeding datapath (seed-ROM OR
+/// planes, per-offset load muxes and selects), the decoded fallback rows
+/// (their set-bit counts price the ROM plane exactly), and the MISR (fold
+/// XORs sized by comp.cut_outputs, comparator sized by comp.golden) exactly
+/// as synthesize_bist_wrapper emits them.  `lfsr_patterns` is the
+/// pseudo-random phase length (it sizes the cycle counter together with the
+/// top-off count).  Deterministic pure function of its arguments; throws
+/// std::invalid_argument when comp.fallback does not have one flag per
+/// top-off row.
 BistArea estimate_bist_area(const AreaModel& m, unsigned lfsr_degree,
                             std::uint64_t lfsr_taps, std::size_t cut_inputs,
                             std::span<const BitVec> topoff,

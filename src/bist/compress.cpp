@@ -249,6 +249,17 @@ std::vector<std::uint32_t> CompressedTopoff::offsets_used() const {
   return offs;
 }
 
+BitVec fill_decoded_row(std::span<const Ternary> cube,
+                        const std::function<bool()>& free_bit) {
+  BitVec p(cube.size());
+  for (std::size_t i = 0; i < cube.size(); ++i) {
+    const bool bit =
+        cube[i] == Ternary::VX ? free_bit() : cube[i] == Ternary::V1;
+    p.set(i, bit);
+  }
+  return p;
+}
+
 RowCompression compress_cube(std::span<const Ternary> cube, unsigned degree,
                              std::uint64_t taps,
                              const std::function<bool()>& free_bit) {
@@ -302,13 +313,7 @@ RowCompression compress_cube(std::span<const Ternary> cube, unsigned degree,
   // Fallback by cost: seeds must strictly beat the decoded row.
   rc.fallback = w <= D || segments.size() * D >= w;
   if (rc.fallback) {
-    BitVec p(w);
-    for (std::size_t i = 0; i < w; ++i) {
-      const bool bit =
-          cube[i] == Ternary::VX ? free_bit() : cube[i] == Ternary::V1;
-      p.set(i, bit);
-    }
-    rc.pattern = std::move(p);
+    rc.pattern = fill_decoded_row(cube, free_bit);
     return rc;
   }
 

@@ -21,7 +21,13 @@
 // source, so seed expansion doubles as the random fill of the mixed scheme.
 // Rows whose seed schedule would store at least as many bits as the decoded
 // pattern (in particular any CUT with width <= degree) fall back to a
-// decoded ROM row, priced and synthesized exactly like the legacy path.
+// decoded ROM row.
+//
+// One row model serves both storage policies.  The paper's decoded-ROM
+// architecture (MixedTpgOptions::compress = false) is the case where every
+// row is a fallback row, there are no seeds and the MISR is absent
+// (misr.degree == 0); area, synthesis, scheduling and verification read
+// only the row flags and the MISR spec, never the policy.
 //
 // Output side (MISR).  A degree-K multiple-input signature register with a
 // primitive feedback polynomial folds the CUT outputs (output o XORs into
@@ -160,17 +166,17 @@ struct SeedEvent {
   std::uint64_t seed = 0;
 };
 
-/// Compressed representation of one scheduled point's top-off set, carried
+/// Row-model representation of one scheduled point's top-off set, carried
 /// from the sweep through the plan into synthesis and verification.  The
 /// stored patterns themselves stay in MixedSchemeResult/BistPlan::topoff —
 /// for seeded rows they are *defined* as the seed expansion (bit-identical
-/// by construction, re-proved by verify_wrapper).
+/// by construction, re-proved by verify_wrapper).  A decoded-ROM plan has
+/// every `fallback` flag set, no seeds and a disabled MISR.
 struct CompressedTopoff {
-  bool enabled = false;
   unsigned degree = 0;       ///< seed width = the plan's LFSR degree
   std::vector<SeedEvent> seeds;        ///< sorted by (row, offset)
   std::vector<std::uint8_t> fallback;  ///< per row: 1 = decoded ROM row
-  MisrSpec misr;
+  MisrSpec misr;             ///< degree 0 = no MISR (decoded-ROM policy)
   std::uint64_t golden = 0;  ///< expected signature after the full stream
   /// CUT primary-output count (fixes the MISR fold structure, so the area
   /// model can price the injection XORs without the kernel in hand).
@@ -190,6 +196,13 @@ struct RowCompression {
   std::vector<SeedEvent> seeds;  ///< offsets ascending; row field left 0
   bool fallback = false;
 };
+
+/// Complete a PODEM cube into a decoded ROM row: specified bits are copied,
+/// each X bit takes the next `free_bit()` in cube order.  A PODEM cube
+/// detects its fault under every completion, so the fill is free to chase
+/// incidental detections.
+BitVec fill_decoded_row(std::span<const Ternary> cube,
+                        const std::function<bool()>& free_bit);
 
 /// Solve one PODEM cube into a reseeding schedule (or a decoded fallback
 /// row when seeds would not save storage).  `free_bit` supplies X-fill bits:

@@ -52,9 +52,9 @@ BistPlan schedule_bist(const MixedSweepResult& sweep, std::size_t width,
     if (!pt.topoff.empty() && pt.topoff.front().size() != width)
       throw std::invalid_argument(
           "schedule_bist: width does not match the sweep's pattern width");
-    if (pt.comp.enabled && pt.comp.degree != opt.lfsr_degree)
+    if (pt.comp.degree != opt.lfsr_degree)
       throw std::invalid_argument(
-          "schedule_bist: compression seed degree does not match lfsr_degree");
+          "schedule_bist: point LFSR degree does not match lfsr_degree");
     SchedulePoint c;
     c.point_index = p;
     c.length = pt.lfsr_patterns;
@@ -66,7 +66,7 @@ BistPlan schedule_bist(const MixedSweepResult& sweep, std::size_t width,
     c.rom_bits = a.rom_bits;
     c.seed_rom_bits = a.seed_rom_bits;
     c.misr_bits = a.misr_bits;
-    c.fallback_rows = pt.comp.enabled ? pt.comp.fallback_rows() : 0;
+    c.fallback_rows = pt.comp.fallback_rows();
     c.area_bits = a.area_bits();
     c.cost = opt.time_weight * double(c.test_time) +
              opt.area_weight * double(c.area_bits);
@@ -94,18 +94,18 @@ BistPlan schedule_bist(const MixedSweepResult& sweep, std::size_t width,
   // Knee of the stored-cost curve over the feasible candidates: normalize
   // both axes to [0,1] over the feasible range and measure each point's
   // distance below the chord joining the shortest and longest lengths.  The
-  // y-axis is the pattern count for legacy points and the compressed
-  // area_bits for compressed points (cost per stored pattern varies under
-  // reseeding, so the knee must see the real storage).  Flat or two-point
-  // curves have zero chord distance everywhere; the tie-break then minimizes
-  // normalized length + stored cost (for a flat curve that is simply the
-  // shortest test).
-  const bool comp_knee = std::any_of(
+  // y-axis is area_bits when the points carry a MISR (cost per stored
+  // pattern varies under reseeding, so the knee must see the real storage)
+  // and the pattern count otherwise — the pre-compression schedule.  Flat or
+  // two-point curves have zero chord distance everywhere; the tie-break then
+  // minimizes normalized length + stored cost (for a flat curve that is
+  // simply the shortest test).
+  const bool area_knee = std::any_of(
       cand.begin(), cand.end(), [&](const SchedulePoint& c) {
-        return sweep.points[c.point_index].comp.enabled;
+        return sweep.points[c.point_index].comp.misr.enabled();
       });
   auto stored = [&](const SchedulePoint& c) {
-    return comp_knee ? c.area_bits : c.topoff_patterns;
+    return area_knee ? c.area_bits : c.topoff_patterns;
   };
   const std::size_t lo = feas.front(), hi = feas.back();
   const double lspan = double(cand[hi].length) - double(cand[lo].length);

@@ -13,10 +13,11 @@
 //                     pick the knee of the stored-cost curve: the point with
 //                     the largest normalized distance below the chord
 //                     joining the shortest and longest candidates.  The
-//                     y-axis is topoff_patterns(L) for legacy points and
-//                     compressed area_bits(L) (seed ROM + fallback ROM +
-//                     state bits) for compressed points — under reseeding,
-//                     cost per stored pattern varies, so the knee can move.
+//                     y-axis is area_bits(L) (seed ROM + fallback ROM +
+//                     state bits) when the points carry a MISR — under
+//                     reseeding, cost per stored pattern varies, so the knee
+//                     can move — and topoff_patterns(L) for MISR-less
+//                     decoded-ROM points, the pre-compression schedule.
 //                     With a degenerate (flat or two-point) curve the
 //                     tie-break minimizes normalized length + ROM, then
 //                     length.
@@ -64,11 +65,10 @@ struct SchedulePoint {
   std::size_t length = 0;
   std::size_t topoff_patterns = 0;
   std::size_t test_time = 0;
-  std::size_t rom_bits = 0;       ///< decoded bits (fallback rows only when
-                                  ///< the point is compressed)
-  std::size_t seed_rom_bits = 0;  ///< reseeding seed bits (compressed)
-  std::size_t misr_bits = 0;      ///< MISR flip-flops (compressed)
-  std::size_t fallback_rows = 0;  ///< decoded top-off rows (compressed)
+  std::size_t rom_bits = 0;       ///< decoded bits (fallback rows x width)
+  std::size_t seed_rom_bits = 0;  ///< reseeding seed bits
+  std::size_t misr_bits = 0;      ///< MISR flip-flops (0 = no MISR)
+  std::size_t fallback_rows = 0;  ///< decoded top-off rows
   std::size_t area_bits = 0;
   double cost = 0;            ///< weighted objective value
   double knee_distance = 0;   ///< normalized distance below the chord
@@ -92,9 +92,9 @@ struct BistPlan {
   std::uint64_t lfsr_seed = 0;
   std::size_t width = 0;        ///< CUT primary-input count
   std::vector<BitVec> topoff;   ///< stored patterns, application order
-  /// Compression artifacts of the chosen point (seed schedules, fallback
-  /// flags, MISR spec + golden signature); comp.enabled selects the
-  /// compressed wrapper architecture in synthesis and verification.
+  /// Row model of the chosen point (seed schedules, fallback flags, MISR
+  /// spec + golden signature) — what synthesis and verification build and
+  /// check; a decoded-ROM plan is all fallback rows with no MISR.
   CompressedTopoff comp;
   double lfsr_coverage = 0;
   double final_coverage = 0;
@@ -112,7 +112,9 @@ struct BistPlan {
 
 /// Select the operating point.  `width` is the CUT's primary-input count
 /// (= pattern width; prices the ROM).  Throws std::invalid_argument on an
-/// empty sweep, mismatched lengths/points arrays, or a sweep with no usable
+/// empty sweep, mismatched lengths/points arrays, a candidate whose row
+/// model was built for another LFSR degree (comp.degree != opt.lfsr_degree)
+/// or whose row flags do not match its top-off set, or a sweep with no usable
 /// point (every point Skipped — run_mixed_sweep's anytime floor guarantees
 /// this never happens for its own results).  Deterministic, and invariant
 /// under permutation/duplication of the sweep's length list.

@@ -36,11 +36,10 @@ BistSynthResult synthesize_bist_wrapper(const Netlist& cut,
   const unsigned D = plan.lfsr_degree;
   const std::size_t C = counter_width(total);
   const CompressedTopoff& comp = plan.comp;
-  const bool compressed = comp.enabled;
-  const unsigned K = compressed ? comp.misr.degree : 0;
-  if (compressed && comp.fallback.size() != T)
+  const unsigned K = comp.misr.degree;
+  if (comp.fallback.size() != T)
     throw std::invalid_argument(
-        "synthesize_bist_wrapper: compression row flags do not match topoff");
+        "synthesize_bist_wrapper: row flags do not match topoff");
 
   BistSynthResult res;
   res.counter_bits = C;
@@ -80,8 +79,7 @@ BistSynthResult synthesize_bist_wrapper(const Netlist& cut,
   // decodes "bist_row<j>" by name before they are defined — NetlistBuilder
   // resolves forward references at build().
   std::map<std::uint32_t, std::vector<const SeedEvent*>> by_offset;
-  if (compressed)
-    for (const SeedEvent& e : comp.seeds) by_offset[e.offset].push_back(&e);
+  for (const SeedEvent& e : comp.seeds) by_offset[e.offset].push_back(&e);
 
   // --- LFSR unrolling: w shifts, one feedback XOR each ---------------------
   // stage[j] holds the net currently occupying LFSR bit j; a shift renames
@@ -194,16 +192,11 @@ BistSynthResult synthesize_bist_wrapper(const Netlist& cut,
       emit(&res.actual.controller, rowsel[j], GateType::Buf, std::move(lits));
   }
 
-  // Phase select: legacy gates every CUT input between the free-running
-  // chain and the decoded ROM; compressed only the FALLBACK rows leave the
-  // chain (a seeded row's pattern IS the chain, via its load muxes above).
+  // Phase select: only the FALLBACK rows leave the chain for the decoded
+  // ROM (a seeded row's pattern IS the chain, via its load muxes above).
   std::vector<std::string> det_rows;
-  if (compressed) {
-    for (std::size_t j = 0; j < T; ++j)
-      if (comp.fallback[j]) det_rows.push_back(rowsel[j]);
-  } else {
-    det_rows = rowsel;
-  }
+  for (std::size_t j = 0; j < T; ++j)
+    if (comp.fallback[j]) det_rows.push_back(rowsel[j]);
   std::string phase_inv;  // high outside the decoded-row cycles
   if (!det_rows.empty()) {
     if (det_rows.size() >= 2)
@@ -227,7 +220,7 @@ BistSynthResult synthesize_bist_wrapper(const Netlist& cut,
     }
     std::vector<std::string> rom_rows;
     for (std::size_t j = 0; j < T; ++j)
-      if ((!compressed || comp.fallback[j]) && plan.topoff[j].get(i))
+      if (comp.fallback[j] && plan.topoff[j].get(i))
         rom_rows.push_back(rowsel[j]);
     const std::string leg = idx_name("bist_sel", i);
     if (rom_rows.empty()) {
@@ -260,7 +253,7 @@ BistSynthResult synthesize_bist_wrapper(const Netlist& cut,
     b.define("cut_" + gg.name, gg.type, std::move(fis));
   }
 
-  // --- MISR + signature comparator (compressed architecture) ---------------
+  // --- MISR + signature comparator (when the plan carries one) -------------
   // One MISR cycle per applied pattern: next state = shifted register (tap
   // parity into bit 0) XOR the folded CUT outputs (output o into stage
   // comp.misr.cls(o), the audited assignment).  bist_sign_ok compares the
@@ -308,12 +301,8 @@ BistSynthResult synthesize_bist_wrapper(const Netlist& cut,
   for (unsigned j = 0; j < K; ++j) b.output(idx_name("bist_misr_n", j));
   if (K > 0) b.output("bist_sign_ok");
 
-  if (compressed) {
-    res.actual.rom_bits = comp.fallback_rows() * w;
-    res.actual.seed_rom_bits = comp.seed_rom_bits();
-  } else {
-    res.actual.rom_bits = T * w;
-  }
+  res.actual.rom_bits = comp.fallback_rows() * w;
+  res.actual.seed_rom_bits = comp.seed_rom_bits();
   res.wrapper = b.build();
   return res;
 }

@@ -64,7 +64,8 @@ struct BistSynthResult {
 
 /// Synthesize the wrapper for `cut` (which must be frozen and match
 /// plan.width).  Deterministic for a given (cut, plan).  Throws
-/// std::invalid_argument on width mismatch or an empty (zero-cycle) plan.
+/// std::invalid_argument on width mismatch, row flags (plan.comp.fallback)
+/// that do not match the top-off set, or an empty (zero-cycle) plan.
 /// `deadline` is polled per LFSR unroll step, per ROM row, per CUT-copy
 /// chunk and per MISR stage (bounded stop latency, same contract as
 /// fault-sim/PODEM); nullptr never stops.

@@ -25,8 +25,7 @@ WrapperSimResult simulate_wrapper(const Netlist& wrapper, const Netlist& cut,
   const std::size_t total = plan.test_time;
   const std::size_t C = counter_width(total);
   const std::size_t w = cut.input_count();
-  const unsigned K =
-      plan.comp.enabled && plan.comp.misr.enabled() ? plan.comp.misr.degree : 0;
+  const unsigned K = plan.comp.misr.degree;
 
   // Resolve every net the loop reads or drives, once.
   std::vector<GateId> lfsr_in(D), lfsr_out(D), cnt_in(C), cnt_out(C), cut_in(w);
@@ -121,10 +120,7 @@ WrapperVerification verify_wrapper(const Netlist& wrapper, const Netlist& cut,
   v.cycles = ws.applied.size();
   if (!ws.status.ok()) {
     // Stopped mid-simulation: no check below would be meaningful, and none
-    // ran — report the stop, with the would-be-true compressed-plan flags
-    // cleared so ok() cannot accidentally hold.
-    v.seeds_identical = false;
-    v.signature_identical = false;
+    // ran — report the stop.
     v.status = ws.status;
     return v;
   }
@@ -154,8 +150,6 @@ WrapperVerification verify_wrapper(const Netlist& wrapper, const Netlist& cut,
   fo.deadline = dl;
   const FaultSimResult fr = fsim.run(blocks, fo);
   if (!fr.status.ok()) {
-    v.seeds_identical = false;
-    v.signature_identical = false;
     v.status = fr.status;
     return v;
   }
@@ -165,35 +159,35 @@ WrapperVerification verify_wrapper(const Netlist& wrapper, const Netlist& cut,
                          v.achieved_coverage_weighted ==
                              point.final_coverage_weighted;
 
-  if (plan.comp.enabled) {
-    // Seed re-proof: every seeded (non-fallback) stored row must be the
-    // software expansion of its seed schedule, bit for bit — the stored set
-    // IS the seed expansion, not merely consistent with it.
-    const CompressedTopoff& comp = plan.comp;
-    v.seeds_identical = comp.fallback.size() == plan.topoff.size();
-    std::vector<std::vector<SeedEvent>> by_row(plan.topoff.size());
-    for (const SeedEvent& e : comp.seeds)
-      if (e.row < by_row.size()) by_row[e.row].push_back(e);
-    for (std::size_t j = 0; j < plan.topoff.size() && v.seeds_identical; ++j) {
-      if (comp.fallback[j]) continue;
-      v.seeds_identical =
-          expand_row(by_row[j], plan.lfsr_degree, plan.lfsr_taps, w) ==
-          plan.topoff[j];
-    }
-
-    // Signature: the gate-level MISR must land exactly on the golden state
-    // and the synthesized comparator must say so on the final cycle.
-    v.misr_signature = ws.final_misr;
-    v.signature_identical = comp.misr.enabled()
-                                ? ws.final_misr == comp.golden && ws.sign_ok
-                                : ws.final_misr == 0 && !ws.sign_ok;
-
-    // Empirical aliasing audit over the applied stream: does any detected
-    // fault's signature collide with the golden one?
-    if (comp.misr.enabled())
-      v.aliasing = misr_aliasing_check(fsim, ck, blocks, ws.applied.size(),
-                                       comp.misr, fr.first_detected);
+  // Seed re-proof: every seeded (non-fallback) stored row must be the
+  // software expansion of its seed schedule, bit for bit — the stored set
+  // IS the seed expansion, not merely consistent with it.  An all-fallback
+  // plan passes trivially.
+  const CompressedTopoff& comp = plan.comp;
+  v.seeds_identical = comp.fallback.size() == plan.topoff.size();
+  std::vector<std::vector<SeedEvent>> by_row(plan.topoff.size());
+  for (const SeedEvent& e : comp.seeds)
+    if (e.row < by_row.size()) by_row[e.row].push_back(e);
+  for (std::size_t j = 0; j < plan.topoff.size() && v.seeds_identical; ++j) {
+    if (comp.fallback[j]) continue;
+    v.seeds_identical =
+        expand_row(by_row[j], plan.lfsr_degree, plan.lfsr_taps, w) ==
+        plan.topoff[j];
   }
+
+  // Signature: the gate-level MISR must land exactly on the golden state
+  // and the synthesized comparator must say so on the final cycle; without
+  // a MISR the wrapper must carry no signature at all.
+  v.misr_signature = ws.final_misr;
+  v.signature_identical = comp.misr.enabled()
+                              ? ws.final_misr == comp.golden && ws.sign_ok
+                              : ws.final_misr == 0 && !ws.sign_ok;
+
+  // Empirical aliasing audit over the applied stream: does any detected
+  // fault's signature collide with the golden one?
+  if (comp.misr.enabled())
+    v.aliasing = misr_aliasing_check(fsim, ck, blocks, ws.applied.size(),
+                                     comp.misr, fr.first_detected);
   return v;
 }
 

@@ -19,16 +19,18 @@
 //   - fault-simulating the CUT over the applied patterns yields exactly the
 //     point's final coverage, under both accounting conventions, down to
 //     the double (same integer numerators over the same denominators);
-// and, for a compressed plan (plan.comp.enabled):
 //   - every seeded (non-fallback) top-off row is bit-identical to the
 //     software re-expansion of its seed schedule (expand_row), proving the
-//     stored set really is the seed expansion;
-//   - the wrapper's MISR lands exactly on the plan's golden signature and
-//     raises bist_sign_ok on the final cycle;
-//   - the empirical aliasing audit (misr_aliasing_check) is reported:
-//     detected faults whose faulty signature would equal the golden one.
-//     Escapes do not fail ok() — they bound the compaction's quality and
-//     are gated to zero by the bench/tests on the surrogate family.
+//     stored set really is the seed expansion (trivial for an all-fallback
+//     decoded-ROM plan);
+//   - with a MISR (plan.comp.misr.enabled()), the wrapper's MISR lands
+//     exactly on the plan's golden signature and raises bist_sign_ok on the
+//     final cycle; without one the wrapper carries no signature state;
+//   - with a MISR, the empirical aliasing audit (misr_aliasing_check) is
+//     reported: detected faults whose faulty signature would equal the
+//     golden one.  Escapes do not fail ok() — they bound the compaction's
+//     quality and are gated to zero by the bench/tests on the surrogate
+//     family.
 
 #include <cstdint>
 #include <vector>
@@ -71,15 +73,15 @@ struct WrapperVerification {
   bool lfsr_phase_identical = false;
   bool topoff_identical = false;
   bool coverage_identical = false;
-  /// Compressed-plan checks; trivially true for a legacy (decoded) plan.
-  bool seeds_identical = true;      ///< seeded rows == expand_row re-expansion
-  bool signature_identical = true;  ///< final MISR == golden, sign_ok raised
+  /// Row-model checks; trivially true for an all-fallback, MISR-less plan.
+  bool seeds_identical = false;      ///< seeded rows == expand_row re-expansion
+  bool signature_identical = false;  ///< final MISR == golden, sign_ok raised
   std::size_t cycles = 0;
   double achieved_coverage = 0;
   double achieved_coverage_weighted = 0;
   std::uint64_t misr_signature = 0;  ///< wrapper's final signature
-  /// Empirical MISR aliasing audit over the applied stream (zeroed for a
-  /// legacy plan): reported, not part of ok().
+  /// Empirical MISR aliasing audit over the applied stream (zeroed when the
+  /// plan has no MISR): reported, not part of ok().
   AliasingReport aliasing;
   /// Ok when every check ran; a cooperative stop (mid-simulation or inside
   /// the coverage fault-sim pass) records why here and leaves the unreached

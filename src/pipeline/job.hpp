@@ -140,10 +140,11 @@ struct JobReport {
   MixedSweepResult sweep;   ///< valid once the sweep stage succeeded
   BistPlan plan;            ///< valid once the schedule stage succeeded
   WrapperVerification verification;  ///< valid once the verify stage ran
-  /// Compression solve work inside the sweep stage (GF(2) reseeding solves
-  /// plus the audited MISR fold selection), split out of the sweep stage's
-  /// wall clock so deadline tuning can see what the compressed architecture
-  /// itself costs.  Zero when the spec runs with tpg.compress = false — and
+  /// Row-storage work inside the sweep stage (GF(2) reseeding solves or
+  /// decoded-row fills, plus the audited MISR fold selection and golden
+  /// signature), split out of the sweep stage's wall clock so deadline
+  /// tuning can see what the compressed architecture itself costs.  Only
+  /// the decoded-row fill when the spec runs with tpg.compress = false, and
   /// zero on a cache hit, which does no solve work.
   double solve_seconds = 0;
   std::string wrapper_bench;  ///< write_bench of the wrapper; empty if unbuilt

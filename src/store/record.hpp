@@ -31,7 +31,9 @@ inline constexpr std::uint32_t kStoreMagic = 0x42535452u;  // "BSTR"
 /// read as BadVersion and are quarantined rather than misdecoded.
 /// v2: StageCode gained the Rejected terminal status (widens the valid
 /// enum range the payload decoder accepts).
-inline constexpr std::uint32_t kStoreFormatVersion = 2;
+/// v3: CompressedTopoff lost its `enabled` flag; decoded-ROM points carry
+/// all-ones row flags, the LFSR degree and the CUT output count.
+inline constexpr std::uint32_t kStoreFormatVersion = 3;
 inline constexpr std::size_t kRecordHeaderSize = 40;
 
 enum class RecordCheck : std::uint8_t {

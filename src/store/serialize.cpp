@@ -160,7 +160,6 @@ MisrSpec get_misr(ByteReader& r) {
 }
 
 void put_comp(ByteWriter& w, const CompressedTopoff& c) {
-  w.b(c.enabled);
   w.u32(c.degree);
   w.sz(c.seeds.size());
   for (const SeedEvent& e : c.seeds) {
@@ -178,7 +177,6 @@ void put_comp(ByteWriter& w, const CompressedTopoff& c) {
 
 CompressedTopoff get_comp(ByteReader& r) {
   CompressedTopoff c;
-  c.enabled = r.b();
   c.degree = r.u32();
   c.seeds.resize(r.count(16));
   for (auto& e : c.seeds) {

@@ -45,12 +45,14 @@ struct MixedTpgOptions {
   /// so results are bit-identical for every value; this only changes speed.
   unsigned podem_threads = 1;
   std::uint64_t fill_seed = 0x5EEDF111;  ///< X-fill RNG seed for test cubes
-  /// Compressed test-data architecture (the default): each detected cube is
-  /// solved into an LFSR reseeding schedule (bist/compress), the stored
-  /// top-off pattern is DEFINED as the seed expansion (free seed variables
-  /// take the X-fill stream's bits), and a MISR spec + golden signature over
-  /// the applied stream is attached to the result.  false selects the legacy
-  /// fully decoded ROM path — bit-identical to the pre-compression pipeline.
+  /// Row-storage policy, read only by the sweep.  true (the default): each
+  /// detected cube is solved into an LFSR reseeding schedule
+  /// (bist/compress), the stored top-off pattern is DEFINED as the seed
+  /// expansion (free seed variables take the X-fill stream's bits), and a
+  /// MISR spec + golden signature over the applied stream is attached to
+  /// the result.  false selects the paper's decoded ROM: every cube becomes
+  /// a decoded fallback row and there is no MISR — bit-identical to the
+  /// pre-compression pipeline.
   bool compress = true;
   /// MISR degree override; 0 = misr_degree_for(CUT output count).  Only
   /// meaningful when `compress` is set.
@@ -97,12 +99,13 @@ struct MixedSchemeResult {
   std::size_t topoff_patterns = 0;  ///< |topoff| after compaction
   /// Deterministic top-off set in application order.
   std::vector<BitVec> topoff;
-  /// Compression artifacts (comp.enabled iff opt.compress and the point ran
-  /// far enough to define an applied stream): per-row seed schedules and
-  /// fallback flags aligned with `topoff`, MISR spec, golden signature over
-  /// the LFSR phase + top-off stream.  LfsrOnly points carry the MISR and
-  /// golden for their (possibly truncated) pseudo-random prefix with no
-  /// seeds; Skipped points leave it disabled.
+  /// Row model of the top-off set: per-row seed schedules and fallback
+  /// flags aligned with `topoff`, plus (under opt.compress) the MISR spec
+  /// and golden signature over the LFSR phase + top-off stream.  Without
+  /// compression every row is a fallback row and the MISR is disabled.
+  /// LfsrOnly points carry no rows (and, with a MISR, the golden for their
+  /// possibly truncated pseudo-random prefix); Skipped points leave it
+  /// default-constructed.
   CompressedTopoff comp;
   std::vector<Fault> redundant_faults;
   std::vector<Fault> aborted_faults;
@@ -126,8 +129,9 @@ struct MixedSchemeResult {
   double lfsr_seconds = 0.0;
   double podem_seconds = 0.0;
   double compact_seconds = 0.0;
-  /// Compression-layer wall-clock (GF(2) reseeding solves + golden-signature
-  /// simulation); a sub-measure of the phases above, not additional time.
+  /// Row-storage wall-clock (GF(2) reseeding solves or decoded-row fills +
+  /// fold audit + golden-signature simulation); a sub-measure of the phases
+  /// above, not additional time.
   double solve_seconds = 0.0;
   /// Anytime ladder position (Complete unless a deadline/cancel fired) and
   /// why a non-Complete state was reached.  For a Complete point `status`

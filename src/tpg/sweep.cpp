@@ -1,6 +1,7 @@
 #include "tpg/sweep.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 
 #include "tpg/lfsr.hpp"
@@ -49,20 +50,6 @@ class FillBits {
   std::uint64_t word_ = 0;
   unsigned left_ = 0;
 };
-
-/// Complete a PODEM cube into a fully-specified pattern: specified bits are
-/// copied, X bits drawn from `bits` in cube order.  A PODEM cube guarantees
-/// detection for every completion of its X bits, so the fill is free to
-/// chase incidental detections; random fill is the standard choice.
-BitVec fill_cube(std::span<const Ternary> cube, FillBits& bits) {
-  BitVec p(cube.size());
-  for (std::size_t i = 0; i < cube.size(); ++i) {
-    const bool bit =
-        cube[i] == Ternary::VX ? bits.next() : cube[i] == Ternary::V1;
-    p.set(i, bit);
-  }
-  return p;
-}
 
 /// Fault-sim check of every pattern against its target fault
 /// (`fsim.faults()[target[i]]` for patterns[i]), batched 64 patterns per
@@ -129,8 +116,10 @@ std::vector<std::uint32_t> compact_reverse(
   return kept;
 }
 
-/// Resolve the point's MISR configuration from the options.
+/// Resolve the point's MISR configuration from the options; the decoded-ROM
+/// policy (opt.compress off) has no MISR.
 MisrSpec misr_for(const SimKernel& k, const MixedTpgOptions& opt) {
+  if (!opt.compress) return {};
   MisrSpec m = opt.misr_degree
                    ? MisrSpec{opt.misr_degree,
                               Lfsr::primitive_taps(opt.misr_degree),
@@ -163,36 +152,40 @@ void topoff_phases(const SimKernel& k, FaultSimulator& fsim,
   const std::size_t width = k.inputs().size();
   const std::uint64_t taps = Lfsr::primitive_taps(opt.lfsr_degree);
 
-  // X-fill the detected cubes in tail order from a fresh fill stream — the
-  // stream position a cube sees depends only on the X counts of the detected
-  // cubes before it in this point's tail, so a sweep replays it exactly.
-  // Under opt.compress the same stream instead feeds the free seed variables
-  // of the GF(2) reseeding solve (and the raw X bits of fallback rows), so
-  // the stored pattern IS the seed expansion by construction.
+  // Turn the detected cubes into rows in tail order from a fresh fill
+  // stream — the stream position a cube sees depends only on the X counts of
+  // the detected cubes before it in this point's tail, so a sweep replays it
+  // exactly.  Under opt.compress the stream feeds the free seed variables of
+  // the GF(2) reseeding solve (and the raw X bits of fallback rows), so the
+  // stored pattern IS the seed expansion by construction; otherwise every
+  // cube becomes a decoded fallback row.
   FillBits bits(opt.fill_seed);
+  const std::function<bool()> free_bit = [&bits] { return bits.next(); };
   std::vector<std::uint32_t> target;  // per top-off pattern: its tail fault
-  std::vector<RowCompression> rows;   // aligned with r.topoff (compress mode)
+  std::vector<RowCompression> rows;   // aligned with r.topoff
   double solve = 0.0;
   for (std::size_t i = 0; i < tail.size(); ++i) {
     const PodemResult& pr = *verdicts[i];
     r.podem_backtracks += pr.backtracks;
     r.podem_decisions += pr.decisions;
     switch (pr.status) {
-      case PodemStatus::Detected:
+      case PodemStatus::Detected: {
+        const auto s0 = WallClock::now();
+        RowCompression rc;
         if (opt.compress) {
-          const auto s0 = WallClock::now();
-          RowCompression rc = compress_cube(pr.cube, opt.lfsr_degree, taps,
-                                            [&bits] { return bits.next(); });
-          solve += seconds_since(s0);
-          r.topoff.push_back(std::move(rc.pattern));
-          rc.pattern = BitVec();
-          rows.push_back(std::move(rc));
+          rc = compress_cube(pr.cube, opt.lfsr_degree, taps, free_bit);
         } else {
-          r.topoff.push_back(fill_cube(pr.cube, bits));
+          rc.pattern = fill_decoded_row(pr.cube, free_bit);
+          rc.fallback = true;
         }
+        solve += seconds_since(s0);
+        r.topoff.push_back(std::move(rc.pattern));
+        rc.pattern = BitVec();
+        rows.push_back(std::move(rc));
         target.push_back(tail[i]);
         ++r.podem_detected;
         break;
+      }
       case PodemStatus::Redundant:
         ++r.redundant;
         r.redundant_faults.push_back(fsim.faults()[tail[i]]);
@@ -221,10 +214,10 @@ void topoff_phases(const SimKernel& k, FaultSimulator& fsim,
     std::vector<BitVec> sel;
     sel.reserve(kept.size());
     std::vector<RowCompression> sel_rows;
-    sel_rows.reserve(opt.compress ? kept.size() : 0);
+    sel_rows.reserve(kept.size());
     for (const std::uint32_t i : kept) {
       sel.push_back(std::move(r.topoff[i]));
-      if (opt.compress) sel_rows.push_back(std::move(rows[i]));
+      sel_rows.push_back(std::move(rows[i]));
     }
     r.topoff = std::move(sel);
     rows = std::move(sel_rows);
@@ -267,25 +260,24 @@ void topoff_phases(const SimKernel& k, FaultSimulator& fsim,
                 double(lr.total_weight)
           : 0.0;
 
-  // Compression artifacts: seed schedules renumbered to the kept rows, MISR
-  // spec, and the golden signature over the exact applied stream (the LFSR
-  // phase the point claims, then the kept top-off set in application order).
-  if (opt.compress) {
-    const auto s1 = WallClock::now();
-    CompressedTopoff& c = r.comp;
-    c.enabled = true;
-    c.degree = opt.lfsr_degree;
-    c.fallback.assign(r.topoff.size(), 0);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      c.fallback[i] = rows[i].fallback;
-      for (SeedEvent e : rows[i].seeds) {
-        e.row = static_cast<std::uint32_t>(i);
-        c.seeds.push_back(e);
-      }
+  // Row model: seed schedules renumbered to the kept rows and the fallback
+  // flags; with a MISR, also its audited fold and the golden signature over
+  // the exact applied stream (the LFSR phase the point claims, then the kept
+  // top-off set in application order).
+  const auto s1 = WallClock::now();
+  CompressedTopoff& c = r.comp;
+  c.degree = opt.lfsr_degree;
+  c.cut_outputs = k.outputs().size();
+  c.fallback.assign(r.topoff.size(), 0);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    c.fallback[i] = rows[i].fallback;
+    for (SeedEvent e : rows[i].seeds) {
+      e.row = static_cast<std::uint32_t>(i);
+      c.seeds.push_back(e);
     }
-    c.misr = misr_for(k, opt);
-    c.cut_outputs = k.outputs().size();
-
+  }
+  c.misr = misr_for(k, opt);
+  if (c.misr.enabled()) {
     // The point's exact applied stream, as one packed block sequence: the
     // fold audit and the golden signature both walk it.
     std::vector<BitVec> applied;
@@ -300,7 +292,7 @@ void topoff_phases(const SimKernel& k, FaultSimulator& fsim,
     // stream detects — the LFSR phase's faults plus the top-off accounting
     // pass's (which alone sees the random-pattern-resistant faults whose
     // bus-aligned output cones defeat the natural fold).
-    if (c.misr.enabled() && opt.misr_fold.empty() && !applied.empty()) {
+    if (opt.misr_fold.empty() && !applied.empty()) {
       std::vector<std::int64_t> fd(fsim.faults().size(), -1);
       const std::vector<std::int64_t>& lfd = r.lfsr_result.first_detected;
       for (std::size_t f = 0; f < fd.size(); ++f)
@@ -312,10 +304,10 @@ void topoff_phases(const SimKernel& k, FaultSimulator& fsim,
       c.misr = choose_misr_fold(fsim, k, blocks, applied.size(), fd, c.misr);
     }
     c.golden = misr_signature(k, blocks, c.misr, 0);
-    solve += seconds_since(s1);
-    c.solve_seconds = solve;
-    r.solve_seconds = solve;
   }
+  solve += seconds_since(s1);
+  c.solve_seconds = solve;
+  r.solve_seconds = solve;
   r.compact_seconds += seconds_since(t1);
 }
 
@@ -324,11 +316,11 @@ void topoff_phases(const SimKernel& k, FaultSimulator& fsim,
 /// tail_faults, copies the LFSR coverage into the final coverage (an empty
 /// top-off adds nothing), and marks the point LfsrOnly with `why` as the
 /// reason.  The result is a valid degraded hardware point — the coverage it
-/// claims is exactly what the pseudo-random phase proved.  Under
-/// opt.compress the point still gets its MISR spec (fold audited against the
+/// claims is exactly what the pseudo-random phase proved.  It carries no
+/// rows; with a MISR it still gets its spec (fold audited against the
 /// prefix's detected faults, like a complete point) and the golden signature
-/// of the prefix stream that ran (no seeds — there is no top-off), so a
-/// degraded wrapper signs off exactly like a complete one.
+/// of the prefix stream that ran, so a degraded wrapper signs off exactly
+/// like a complete one.
 void finish_lfsr_only(const SimKernel& k, FaultSimulator& fsim,
                       const MixedTpgOptions& opt, MixedSchemeResult& r,
                       StageStatus why) {
@@ -336,28 +328,25 @@ void finish_lfsr_only(const SimKernel& k, FaultSimulator& fsim,
   r.tail_faults = lr.sim_faults - lr.detected;
   r.final_coverage = r.lfsr_coverage;
   r.final_coverage_weighted = r.lfsr_coverage_weighted;
-  if (opt.compress) {
-    // The degraded point still signs off: MISR over the exact prefix that
-    // ran, no seeds (there is no top-off to compress).
-    const auto s0 = WallClock::now();
-    CompressedTopoff& c = r.comp;
-    c.enabled = true;
-    c.degree = opt.lfsr_degree;
-    c.misr = misr_for(k, opt);
-    c.cut_outputs = k.outputs().size();
+  const auto s0 = WallClock::now();
+  CompressedTopoff& c = r.comp;
+  c.degree = opt.lfsr_degree;
+  c.cut_outputs = k.outputs().size();
+  c.misr = misr_for(k, opt);
+  if (c.misr.enabled()) {
     Lfsr lfsr = Lfsr::maximal(opt.lfsr_degree, opt.lfsr_seed);
     const std::vector<PatternBlock> blocks =
         lfsr.blocks(k.inputs().size(), lr.patterns);
     // Fold audit over the prefix's detected faults (the audit core skips
     // first_detected entries at or beyond lr.patterns, so the prefix
     // result's kept-later detections are excluded automatically).
-    if (c.misr.enabled() && opt.misr_fold.empty() && lr.patterns > 0)
+    if (opt.misr_fold.empty() && lr.patterns > 0)
       c.misr = choose_misr_fold(fsim, k, blocks, lr.patterns,
                                 lr.first_detected, c.misr);
     c.golden = misr_signature(k, blocks, c.misr, 0);
-    c.solve_seconds = seconds_since(s0);
-    r.solve_seconds = c.solve_seconds;
   }
+  c.solve_seconds = seconds_since(s0);
+  r.solve_seconds = c.solve_seconds;
   r.state = PointState::LfsrOnly;
   r.status = std::move(why);
 }

@@ -49,8 +49,9 @@ struct MixedSweepStats {
   double lfsr_seconds = 0.0;     ///< the one shared max-length fault-sim pass
   double podem_seconds = 0.0;    ///< all points: generation + fill + verify
   double compact_seconds = 0.0;  ///< all points: compaction + accounting
-  /// All points: GF(2) reseeding solves + golden-signature simulation (a
-  /// sub-measure of the two above, not additional wall-clock).
+  /// All points: row storage (reseeding solves or decoded-row fills, fold
+  /// audit, golden signature) — a sub-measure of the two above, not
+  /// additional wall-clock.
   double solve_seconds = 0.0;
 };
 

@@ -20,6 +20,15 @@ using namespace bist;
 
 namespace {
 
+// Decoded-ROM row model for `rows` stored patterns: every row a fallback
+// row, no seeds, no MISR.
+CompressedTopoff decoded_rows(std::size_t rows) {
+  CompressedTopoff c;
+  c.degree = 32;
+  c.fallback.assign(rows, 1);
+  return c;
+}
+
 // Synthetic sweep point: only the fields the scheduler consumes.
 MixedSchemeResult fake_point(std::size_t length, std::size_t topoff,
                              std::size_t width) {
@@ -31,6 +40,7 @@ MixedSchemeResult fake_point(std::size_t length, std::size_t topoff,
     for (std::size_t i = j % 2; i < width; i += 2) p.set(i, true);
     r.topoff.push_back(p);
   }
+  r.comp = decoded_rows(topoff);
   r.final_coverage = 0.9 + 0.0001 * double(length);
   r.final_coverage_weighted = r.final_coverage;
   return r;
@@ -82,7 +92,8 @@ int main() {
     const std::uint64_t taps = Lfsr::primitive_taps(32);
     const auto mk = [&](std::size_t t) {
       std::vector<BitVec> topoff(t, BitVec(16, true));
-      return estimate_bist_area(m, 32, taps, 16, topoff, 1024);
+      return estimate_bist_area(m, 32, taps, 16, topoff, 1024,
+                                decoded_rows(t));
     };
     const BistArea a0 = mk(0), a4 = mk(4), a8 = mk(8);
     CHECK_EQ(a0.rom_bits, std::size_t{0});
@@ -96,10 +107,13 @@ int main() {
     AreaModel heavy_ff = m;
     heavy_ff.flipflop = 10.0;
     std::vector<BitVec> t4(4, BitVec(16, true));
-    const BistArea h = estimate_bist_area(heavy_ff, 32, taps, 16, t4, 1024);
+    const BistArea h =
+        estimate_bist_area(heavy_ff, 32, taps, 16, t4, 1024, decoded_rows(4));
     CHECK(h.lfsr > a4.lfsr);
     CHECK_EQ(h.rom, a4.rom);
     CHECK_EQ(h.rom_bits, a4.rom_bits);
+    // Row flags must cover the top-off set exactly, as in synthesis.
+    CHECK_THROWS(estimate_bist_area(m, 32, taps, 16, t4, 1024, decoded_rows(3)));
   }
 
   // --- knee selection on a synthetic convex curve --------------------------
@@ -179,6 +193,11 @@ int main() {
     // every point has an empty topoff set (width recorded by the sweep).
     CHECK_THROWS(schedule_bist(fake_sweep(L, T, W), W + 7));
     CHECK_THROWS(schedule_bist(fake_sweep(L, {0, 0, 0, 0, 0}, W), W + 1));
+    // Points built for another LFSR degree cannot regenerate the plan's
+    // stream, decoded-ROM points included.
+    ScheduleOptions other_degree;
+    other_degree.lfsr_degree = 16;
+    CHECK_THROWS(schedule_bist(fake_sweep(L, T, W), W, other_degree));
     // Single point: chosen trivially.
     const MixedSweepResult one = fake_sweep({128}, {7}, W);
     const BistPlan p1 = schedule_bist(one, W);
@@ -218,7 +237,7 @@ int main() {
     // Compressed by default: decoded ROM holds only the fallback rows, the
     // seed ROM the reseeding schedules, and the plan carries the point's
     // compression artifacts verbatim.
-    CHECK(pa.comp.enabled);
+    CHECK(pa.comp.misr.enabled());
     CHECK_EQ(pa.rom_bits, pa.comp.fallback_rows() * n.input_count());
     CHECK_EQ(pa.area.seed_rom_bits, pa.comp.seed_rom_bits());
     CHECK_EQ(pa.area.misr_bits,
@@ -233,12 +252,15 @@ int main() {
     CHECK(same_plan(schedule_bist(swa, n.input_count(), wc),
                     schedule_bist(swb, n.input_count(), wc)));
 
-    // Legacy decoded mode: the pre-compression accounting, bit for bit.
+    // Decoded-ROM policy: the pre-compression accounting, bit for bit, as
+    // the all-fallback, MISR-less case of the row model.
     MixedTpgOptions lopt = opt;
     lopt.compress = false;
     const MixedSweepResult swl = run_mixed_sweep(k, a, lopt);
     const BistPlan pl = schedule_bist(swl, n.input_count(), so);
-    CHECK(!pl.comp.enabled);
+    CHECK(pl.comp.seeds.empty());
+    CHECK(!pl.comp.misr.enabled());
+    CHECK_EQ(pl.comp.fallback_rows(), pl.topoff.size());
     const MixedSchemeResult& lp = swl.points[pl.point_index];
     CHECK_EQ(pl.rom_bits, lp.topoff_patterns * n.input_count());
     CHECK_EQ(pl.area.seed_rom_bits, std::size_t{0});

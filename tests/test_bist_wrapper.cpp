@@ -49,9 +49,7 @@ bool set_identical(std::vector<BitVec> a, std::vector<BitVec> b) {
 void check_wrapper(const Netlist& cut, const BistPlan& plan,
                    const MixedSchemeResult& point) {
   const BistSynthResult syn = synthesize_bist_wrapper(cut, plan);
-  const unsigned K = plan.comp.enabled && plan.comp.misr.enabled()
-                         ? plan.comp.misr.degree
-                         : 0;
+  const unsigned K = plan.comp.misr.degree;
   CHECK(syn.wrapper.frozen());
   CHECK(syn.bist_gates > 0);
   CHECK_EQ(syn.actual.rom_bits, plan.rom_bits);
@@ -121,7 +119,7 @@ void check_wrapper(const Netlist& cut, const BistPlan& plan,
   // state must match the software LFSR advanced test_time patterns.  With
   // reseeding the top-off phase overwrites the register (by design); the
   // applied-pattern identities above pin down everything observable.
-  if (!plan.comp.enabled || plan.comp.seeds.empty()) {
+  if (plan.comp.seeds.empty()) {
     Lfsr ref(plan.lfsr_degree, plan.lfsr_taps, plan.lfsr_seed);
     for (std::size_t t = 0; t < plan.test_time; ++t)
       ref.next_pattern(cut.input_count());
@@ -173,7 +171,9 @@ int main() {
     so.lfsr_degree = opt.lfsr_degree;
     so.lfsr_seed = opt.lfsr_seed;
     const BistPlan plan = schedule_bist(sw, cut.input_count(), so);
-    CHECK(!plan.comp.enabled);
+    CHECK(plan.comp.seeds.empty());
+    CHECK(!plan.comp.misr.enabled());
+    CHECK_EQ(plan.comp.fallback_rows(), plan.topoff.size());
     check_wrapper(cut, plan, sw.points[plan.point_index]);
   }
 
@@ -194,8 +194,8 @@ int main() {
     const BistPlan plan = schedule_bist(sw, cut.input_count());
     CHECK_EQ(plan.topoff_patterns, std::size_t{0});
     CHECK_EQ(plan.rom_bits, std::size_t{0});
-    CHECK_EQ(plan.comp.enabled, compress);
-    if (compress) CHECK(plan.comp.seeds.empty());
+    CHECK_EQ(plan.comp.misr.enabled(), compress);
+    CHECK(plan.comp.seeds.empty());
     check_wrapper(cut, plan, sw.points[plan.point_index]);
   }
 

@@ -76,10 +76,11 @@ void check_circuit(const Golden& g) {
   CHECK_EQ(plan.topoff.size(), g.topoff);
   CHECK(close(plan.final_coverage, g.coverage, 1e-15));
 
-  // Legacy mode leaves every compressed-architecture field inert.
-  CHECK(!plan.comp.enabled);
+  // Legacy mode is the all-fallback, MISR-less case of the row model: every
+  // stored row is decoded and every compressed-architecture field is inert.
   CHECK(plan.comp.seeds.empty());
   CHECK(!plan.comp.misr.enabled());
+  CHECK_EQ(plan.comp.fallback_rows(), plan.topoff.size());
   CHECK_EQ(plan.area.seed_rom_bits, std::size_t{0});
   CHECK_EQ(plan.area.misr_bits, std::size_t{0});
   CHECK_EQ(plan.area.seed_rom, 0.0);

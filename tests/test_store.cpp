@@ -222,13 +222,14 @@ void test_record_framing() {
 }
 
 // ---------------------------------------------------------------------------
-MixedSweepResult small_sweep(const std::string& name) {
+MixedSweepResult small_sweep(const std::string& name, bool compress = true) {
   const Netlist n = make_iscas85(name);
   const SimKernel k(n);
   FaultSimulator fsim(k);
   MixedTpgOptions mopt;
   mopt.lfsr_patterns = 128;
   mopt.podem.backtrack_limit = 50;
+  mopt.compress = compress;
   const std::vector<std::size_t> lengths = {32, 128};
   return run_mixed_sweep(k, fsim, lengths, mopt);
 }
@@ -264,6 +265,37 @@ void test_serializer_roundtrip() {
     auto t = bytes;
     for (std::size_t i = 0; i < 8 && i < t.size(); ++i) t[i] = 0xFF;
     CHECK_THROWS(deserialize_sweep(t));
+  }
+}
+
+// The decoded-ROM policy round-trips as the all-fallback, MISR-less case of
+// the row model: the row flags survive, so a cached legacy sweep still feeds
+// synthesis one flag per stored row.
+void test_decoded_sweep_roundtrip() {
+  const MixedSweepResult sw = small_sweep("c432s", false);
+  CHECK(sw.status.ok());
+  std::size_t rows = 0;
+  for (const MixedSchemeResult& p : sw.points) {
+    CHECK(p.comp.seeds.empty());
+    CHECK(!p.comp.misr.enabled());
+    CHECK_EQ(p.comp.fallback_rows(), p.topoff.size());
+    rows += p.topoff.size();
+  }
+  CHECK(rows > 0);  // the flags under test are really there
+
+  const std::vector<std::uint8_t> bytes = serialize_sweep(sw);
+  const MixedSweepResult back = deserialize_sweep(bytes);
+  CHECK(serialize_sweep(back) == bytes);
+  CHECK_EQ(back.points.size(), sw.points.size());
+  for (std::size_t i = 0; i < sw.points.size(); ++i) {
+    const CompressedTopoff& a = sw.points[i].comp;
+    const CompressedTopoff& b = back.points[i].comp;
+    CHECK(back.points[i].topoff == sw.points[i].topoff);
+    CHECK(b.fallback == a.fallback);
+    CHECK_EQ(b.degree, a.degree);
+    CHECK_EQ(b.cut_outputs, a.cut_outputs);
+    CHECK(b.seeds.empty());
+    CHECK(!b.misr.enabled());
   }
 }
 
@@ -460,6 +492,7 @@ int main() {
   test_fingerprint();
   test_record_framing();
   test_serializer_roundtrip();
+  test_decoded_sweep_roundtrip();
   test_result_store();
   test_store_io_failure();
   return bist_test::summary();
