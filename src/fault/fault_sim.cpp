@@ -1,7 +1,6 @@
 #include "fault/fault_sim.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <numeric>
 #include <stdexcept>
 
@@ -405,63 +404,10 @@ void FaultSimulator::finalize_curves(FaultSimResult& r) const {
 
 FaultSimResult FaultSimulator::run(std::span<const PatternBlock> blocks,
                                    const FaultSimOptions& opt) {
-  if (!opt.ffr) return run_legacy(blocks, opt);
 #if BIST_WIDE_WORDS
   if (opt.word_width == kMaxWordWidth) return run_ffr<kMaxWordWidth>(blocks, opt);
 #endif
   return run_ffr<1>(blocks, opt);
-}
-
-FaultSimResult FaultSimulator::run_legacy(std::span<const PatternBlock> blocks,
-                                          const FaultSimOptions& opt) {
-  FaultSimResult r;
-  r.total_faults = total_faults_;
-  r.sim_faults = faults_.size();
-  r.total_weight = total_weight_;
-  r.first_detected.assign(faults_.size(), -1);
-
-  KernelSim good(*k_);
-  std::vector<std::uint32_t> live(faults_.size());
-  std::iota(live.begin(), live.end(), 0u);
-
-  std::size_t base = 0;
-  for (const PatternBlock& blk : blocks) {
-    if (opt.deadline && opt.deadline->should_stop()) {
-      r.status = opt.deadline->stop_status("fault_sim");
-      break;  // r describes the base-pattern prefix that did run, exactly
-    }
-    good.simulate(blk);
-    const std::uint64_t lanes = blk.lane_mask();
-    const std::uint64_t* gv = good.values().data();
-    for (std::size_t i = 0; i < live.size();) {
-      const std::uint32_t fidx = live[i];
-      if (r.first_detected[fidx] >= 0) {
-        // Already detected; with drop_detected off the fault stays in the
-        // live list (stable indices) but propagating it again can yield no
-        // new detection, so skip the work.
-        ++i;
-        continue;
-      }
-      const std::uint64_t det =
-          propagate_fault(faults_[fidx], gv, lanes, &r.faulty_gate_evals);
-      if (det) {
-        r.first_detected[fidx] =
-            static_cast<std::int64_t>(base) + std::countr_zero(det);
-        ++r.detected;
-        r.detected_weight += weights_[fidx];
-        if (opt.drop_detected) {
-          live[i] = live.back();
-          live.pop_back();
-          continue;
-        }
-      }
-      ++i;
-    }
-    base += blk.count;
-  }
-  r.patterns = base;
-  finalize_curves(r);
-  return r;
 }
 
 template <unsigned W>

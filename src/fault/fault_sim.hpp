@@ -57,10 +57,6 @@ struct FaultSimOptions {
   /// Pattern word width in 64-lane units (1 or kMaxWordWidth); unsupported
   /// widths clamp to 1.
   unsigned word_width = 1;
-  /// FFR stem-sharing engine (the default).  false selects the legacy
-  /// per-fault full-cone propagation path — single-threaded, 64-lane — kept
-  /// as the differential-testing reference.
-  bool ffr = true;
   /// Cooperative deadline/cancel, polled once per pattern-block group (so
   /// stop latency is bounded by one group's propagation cost).  A run that
   /// stops early returns the exact prefix result of the blocks it finished
@@ -93,7 +89,7 @@ struct FaultSimResult {
   /// total-enumerated-fault convention.
   std::vector<double> coverage_weighted;
   /// Faulty-machine gate evaluations performed (cone-limited work measure).
-  /// Deterministic per (engine, word_width); independent of thread count.
+  /// Deterministic per word_width; independent of thread count.
   std::uint64_t faulty_gate_evals = 0;
 
   double final_coverage() const { return coverage.empty() ? 0.0 : coverage.back(); }
@@ -142,7 +138,7 @@ class FaultSimulator {
   /// Run over the pattern blocks with fault dropping; fills the coverage
   /// curves.  Repeatable: each call starts from the full fault list.
   /// Detection results (first_detected, curves, weights) are bit-identical
-  /// across every (threads, word_width, ffr) combination.
+  /// across every (threads, word_width) combination.
   FaultSimResult run(std::span<const PatternBlock> blocks,
                      const FaultSimOptions& opt = {});
 
@@ -187,8 +183,6 @@ class FaultSimulator {
                                 std::uint64_t* po_diffs = nullptr);
   void init_scratch();
   void build_stem_groups();
-  FaultSimResult run_legacy(std::span<const PatternBlock> blocks,
-                            const FaultSimOptions& opt);
   template <unsigned W>
   FaultSimResult run_ffr(std::span<const PatternBlock> blocks,
                          const FaultSimOptions& opt);
@@ -212,8 +206,9 @@ class FaultSimulator {
   // worker count changes), so repeated runs don't pay thread spawn cost.
   std::unique_ptr<WorkerPool> pool_;
 
-  // Legacy-path per-fault propagation scratch in kernel-index space, reset
-  // via touched_list_ after each fault (also backs detect_lanes()).
+  // Per-fault propagation scratch in kernel-index space behind
+  // detect_lanes() and output_diffs(), reset via touched_list_ after each
+  // fault.
   std::vector<std::uint64_t> fval_;
   std::vector<char> touched_;
   std::vector<KIndex> touched_list_;

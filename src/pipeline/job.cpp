@@ -164,17 +164,7 @@ Digest128 job_key(const JobSpec& spec) {
   h.str(spec.bench_text);
   h.u64(spec.sweep_lengths.size());
   for (const std::size_t l : spec.sweep_lengths) h.u64(l);
-  // Result-affecting tpg fields (same canonical set as sweep_cache_key).
-  h.u32(spec.tpg.lfsr_degree);
-  h.u64(spec.tpg.lfsr_seed);
-  h.u32(spec.tpg.podem.backtrack_limit);
-  h.u64(spec.tpg.fill_seed);
-  h.u8(spec.tpg.compress ? 1 : 0);
-  h.u32(spec.tpg.misr_degree);
-  h.u64(spec.tpg.misr_fold.size());
-  for (const std::uint16_t f : spec.tpg.misr_fold) h.u16(f);
-  h.u8(spec.tpg.compact ? 1 : 0);
-  h.u8(spec.tpg.verify_patterns ? 1 : 0);
+  hash_tpg_options(h, spec.tpg);
   // Schedule knobs.
   h.u8(static_cast<std::uint8_t>(spec.schedule.objective));
   h.u64(spec.schedule.test_time_budget);

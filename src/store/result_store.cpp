@@ -15,10 +15,15 @@ Digest128 sweep_cache_key(const Netlist& n,
   h.u64(fp.hi).u64(fp.lo);
   h.u64(lengths.size());
   for (const std::size_t l : lengths) h.u64(l);
-  // Result-affecting MixedTpgOptions fields only.  lfsr_patterns is skipped
-  // (the sweep's lengths drive the stream); fsim/podem_threads are skipped
-  // (engine-invariant results); deadline is skipped (only Complete Ok sweeps
-  // are published, so deadline shaping can never reach a record).
+  hash_tpg_options(h, opt);
+  return h.digest();
+}
+
+void hash_tpg_options(Hasher& h, const MixedTpgOptions& opt) {
+  // lfsr_patterns is skipped (the sweep's lengths drive the stream);
+  // fsim/podem_threads are skipped (engine-invariant results); deadline is
+  // skipped (only Complete Ok sweeps are published, so deadline shaping can
+  // never reach a record).
   h.u32(opt.lfsr_degree);
   h.u64(opt.lfsr_seed);
   h.u32(opt.podem.backtrack_limit);
@@ -29,7 +34,6 @@ Digest128 sweep_cache_key(const Netlist& n,
   for (const std::uint16_t f : opt.misr_fold) h.u16(f);
   h.u8(opt.compact ? 1 : 0);
   h.u8(opt.verify_patterns ? 1 : 0);
-  return h.digest();
 }
 
 ResultStore::ResultStore(StoreOptions opt)

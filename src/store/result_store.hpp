@@ -41,6 +41,11 @@ Digest128 sweep_cache_key(const Netlist& n,
                           std::span<const std::size_t> lengths,
                           const MixedTpgOptions& opt);
 
+/// Fold the result-affecting MixedTpgOptions fields into `h`: the one
+/// canonical option set behind both sweep_cache_key and the batch
+/// manifest's job_key.
+void hash_tpg_options(Hasher& h, const MixedTpgOptions& opt);
+
 struct StoreOptions {
   std::string dir;         ///< store root; created on first use
   FileOps* ops = nullptr;  ///< nullptr = FileOps::real(); tests inject shims

@@ -7,11 +7,16 @@
 // varints — because the record framing (store/record) already carries the
 // format version and a checksum: a layout change bumps
 // kStoreFormatVersion and old records quarantine as BadVersion before a
-// byte of payload is decoded.  Deserialization is nevertheless fully
-// bounds-checked (a checksum-valid record could still have been written by
-// a buggy producer): ByteReader throws std::runtime_error on any overrun,
-// count that exceeds the remaining bytes, or out-of-range enum, and the
-// store converts that throw into a quarantine + miss.
+// byte of payload is decoded.  Each persisted type has ONE walk, its field
+// list in wire order, templated on the direction: the writer and the
+// reader run the same list, so they cannot drift apart.  Deserialization
+// is nevertheless fully bounds-checked (a checksum-valid record could
+// still have been written by a buggy producer): the reader throws
+// std::runtime_error on any overrun, bool above 1, out-of-range enum,
+// set bit-vector tail bits, trailing bytes, or vector count above the
+// remaining bytes divided by the element's minimum wire size (the size of
+// a default-constructed element run through the same walk), and the store
+// converts that throw into a quarantine + miss.
 //
 // Serialization is deterministic: the same in-memory value always produces
 // the same bytes.  Combined with the pipeline's bit-identical determinism

@@ -4,11 +4,14 @@
 //    unique fanouts; stems are exactly the gates with fanout != 1 or PO
 //    status; the per-stem member lists partition the netlist.
 // 2. Differential: FaultSimResult detection results (first_detected,
-//    coverage curves, detected_weight) are bit-identical across threads in
-//    {1, 2, 8} and word widths in {1, 4} vs. the legacy per-fault seed-path
-//    engine, on the full ISCAS85 surrogate family; faulty_gate_evals is
+//    detected, detected_weight) at threads in {1, 2, 8} and word widths in
+//    {1, 4} match a per-fault reference — one detect_lanes propagation per
+//    (fault, block) over the public KernelSim, no stem sharing — on the
+//    full ISCAS85 surrogate family; coverage curves are bit-identical
+//    across engine configurations; faulty_gate_evals is
 //    thread-count-invariant at fixed width.
 
+#include <bit>
 #include <string>
 #include <vector>
 
@@ -59,6 +62,43 @@ void check_ffr_decomposition(const SimKernel& k) {
   }
 }
 
+// Per-fault reference: each fault propagated on its own, block by block,
+// until its first detecting pattern.
+struct Reference {
+  std::vector<std::int64_t> first_detected;
+  std::size_t detected = 0;
+  std::uint64_t detected_weight = 0;
+};
+
+Reference reference_run(FaultSimulator& fsim, const SimKernel& k,
+                        std::span<const PatternBlock> blocks) {
+  Reference ref;
+  ref.first_detected.assign(fsim.faults().size(), -1);
+  KernelSim good(k);
+  std::size_t base = 0;
+  for (const PatternBlock& blk : blocks) {
+    good.simulate(blk);
+    for (std::size_t f = 0; f < fsim.faults().size(); ++f) {
+      if (ref.first_detected[f] >= 0) continue;
+      const std::uint64_t det =
+          fsim.detect_lanes(fsim.faults()[f], good.values(), blk.lane_mask());
+      if (!det) continue;
+      ref.first_detected[f] =
+          static_cast<std::int64_t>(base) + std::countr_zero(det);
+      ++ref.detected;
+      ref.detected_weight += fsim.weights()[f];
+    }
+    base += blk.count;
+  }
+  return ref;
+}
+
+bool matches(const Reference& ref, const FaultSimResult& r) {
+  return r.first_detected == ref.first_detected &&
+         r.detected == ref.detected &&
+         r.detected_weight == ref.detected_weight;
+}
+
 bool same_detection(const FaultSimResult& a, const FaultSimResult& b) {
   bool ok = true;
   ok = ok && a.total_faults == b.total_faults;
@@ -86,12 +126,15 @@ int main() {
     Lfsr lfsr = Lfsr::maximal(32, 0xACE1);
     const auto blocks = lfsr.blocks(n.input_count(), 512);
 
-    FaultSimOptions ref_opt;
-    ref_opt.ffr = false;  // legacy per-fault seed path
-    const FaultSimResult ref = fsim.run(blocks, ref_opt);
-    CHECK_EQ(ref.threads, 1u);
-    CHECK_EQ(ref.word_width, 1u);
+    const Reference ref = reference_run(fsim, k, blocks);
     CHECK(ref.detected > 0u);
+    // The default configuration (1 thread, 64 lanes) anchors the curves.
+    const FaultSimResult base = fsim.run(blocks);
+    CHECK_EQ(base.threads, 1u);
+    CHECK_EQ(base.word_width, 1u);
+    CHECK(matches(ref, base));
+    CHECK_EQ(base.patterns, 512u);
+    CHECK_EQ(base.sim_faults, fsim.faults().size());
 
     std::uint64_t evals_by_width[2] = {0, 0};
     for (const unsigned width : {1u, 4u}) {
@@ -100,10 +143,11 @@ int main() {
         opt.threads = threads;
         opt.word_width = width;
         const FaultSimResult r = fsim.run(blocks, opt);
-        CHECK(same_detection(ref, r));
+        CHECK(matches(ref, r));
+        CHECK(same_detection(base, r));
         CHECK_EQ(r.threads, threads);
         CHECK_EQ(r.word_width, BIST_WIDE_WORDS ? width : 1u);
-        // Work measure is a deterministic function of (engine, width):
+        // Work measure is a deterministic function of the width:
         // partitioning across workers must not change it.
         const unsigned wslot = width == 1 ? 0 : 1;
         if (evals_by_width[wslot] == 0)
@@ -117,11 +161,12 @@ int main() {
     keep.drop_detected = false;
     keep.threads = 2;
     const FaultSimResult rk = fsim.run(blocks, keep);
-    CHECK(same_detection(ref, rk));
+    CHECK(matches(ref, rk));
+    CHECK(same_detection(base, rk));
   }
 
-  // The FFR engine must also agree with legacy on an explicit sub-list with
-  // weights (the tail-fault path the mixed-scheme sweep exercises).
+  // The engine must also agree with the reference on an explicit sub-list
+  // with weights (the tail-fault path the mixed-scheme sweep exercises).
   {
     const Netlist n = make_iscas85("c432s");
     const SimKernel k(n);
@@ -133,13 +178,16 @@ int main() {
     FaultSimulator part(k, sub, 2 * sub.size(), w);
     Lfsr lfsr = Lfsr::maximal(32, 0xBEEF);
     const auto blocks = lfsr.blocks(n.input_count(), 256);
-    FaultSimOptions ref_opt;
-    ref_opt.ffr = false;
-    const FaultSimResult ref = part.run(blocks, ref_opt);
+    const Reference ref = reference_run(part, k, blocks);
+    const FaultSimResult base = part.run(blocks);
+    CHECK(matches(ref, base));
+    CHECK_EQ(base.total_faults, 2 * sub.size());
     FaultSimOptions opt;
     opt.threads = 8;
     opt.word_width = 4;
-    CHECK(same_detection(ref, part.run(blocks, opt)));
+    const FaultSimResult wide = part.run(blocks, opt);
+    CHECK(matches(ref, wide));
+    CHECK(same_detection(base, wide));
   }
 
   return bist_test::summary();

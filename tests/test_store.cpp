@@ -1,21 +1,25 @@
 // Persistence-layer unit tests: canonical hashing and the netlist
 // fingerprint, the on-disk record framing (every corruption class maps to
-// its RecordCheck verdict), serializer round trips with full bounds
-// checking, and the ResultStore's contract that corruption quarantines and
-// degrades to a miss — never a stale hit, never a crash — including under
-// injected file-system failure (short writes, ENOSPC-shaped write_file,
-// refused renames) via the FileOps shim.
+// its RecordCheck verdict), serializer round trips, the layout pin on the
+// serialized bytes, adversarial payloads (every truncation and single-byte
+// XOR throws or round-trips exactly), and the ResultStore's contract that
+// corruption quarantines and degrades to a miss — never a stale hit, never
+// a crash — including under injected file-system failure (short writes,
+// ENOSPC-shaped write_file, refused renames) via the FileOps shim.
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <string>
 #include <vector>
 
+#include "circuits/c17.hpp"
 #include "circuits/iscas85_family.hpp"
 #include "fault/fault_sim.hpp"
 #include "netlist/bench_io.hpp"
 #include "netlist/builder.hpp"
 #include "netlist/fingerprint.hpp"
+#include "pipeline/job.hpp"
 #include "sim/kernel.hpp"
 #include "store/record.hpp"
 #include "store/result_store.hpp"
@@ -246,26 +250,6 @@ void test_serializer_roundtrip() {
   CHECK_EQ(back.points.size(), sw.points.size());
   CHECK(back.points[0].topoff == sw.points[0].topoff);
   CHECK_EQ(back.stats.podem_calls, sw.stats.podem_calls);
-
-  // Bounds checking: any truncation must throw, not read wild.
-  for (const std::size_t cut : {std::size_t{0}, std::size_t{1},
-                                bytes.size() / 2, bytes.size() - 1}) {
-    const std::vector<std::uint8_t> t(bytes.begin(), bytes.begin() + cut);
-    CHECK_THROWS(deserialize_sweep(t));
-  }
-  // Trailing garbage must throw too (a payload is exactly one sweep).
-  {
-    auto t = bytes;
-    t.push_back(0);
-    CHECK_THROWS(deserialize_sweep(t));
-  }
-  // A maliciously huge vector count must be rejected by the remaining-bytes
-  // bound, not allocate petabytes: saturate the leading count field.
-  {
-    auto t = bytes;
-    for (std::size_t i = 0; i < 8 && i < t.size(); ++i) t[i] = 0xFF;
-    CHECK_THROWS(deserialize_sweep(t));
-  }
 }
 
 // The decoded-ROM policy round-trips as the all-fallback, MISR-less case of
@@ -296,6 +280,234 @@ void test_decoded_sweep_roundtrip() {
     CHECK_EQ(b.cut_outputs, a.cut_outputs);
     CHECK(b.seeds.empty());
     CHECK(!b.misr.enabled());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Layout pin: hand-filled records, no engine run, so the bytes carry no
+// wall-clock noise.  Every scalar gets its own non-default value and every
+// vector one or two elements, so a dropped, swapped or resized field moves
+// the digest.  A layout change must bump kStoreFormatVersion and re-capture
+// these constants in the same commit; otherwise they never change.
+
+struct Sentinel {
+  std::uint64_t next = 0x1000;
+  std::uint64_t n() { return next += 0x101; }
+  double f() { return static_cast<double>(n()) + 0.25; }
+  std::string s() { return "s" + std::to_string(n()); }
+  StageStatus status(StageCode c) { return {c, s()}; }
+  BitVec bits(std::size_t width) {
+    BitVec v(width);
+    for (std::size_t i = n() % 3; i < width; i += 3) v.set(i, true);
+    return v;
+  }
+  Fault fault() {
+    return {static_cast<GateId>(n()), static_cast<std::int16_t>(n() % 7), 1};
+  }
+  CompressedTopoff comp() {
+    CompressedTopoff c;
+    c.degree = static_cast<unsigned>(n());
+    c.seeds = {{static_cast<std::uint32_t>(n()),
+                static_cast<std::uint32_t>(n()), n()},
+               {static_cast<std::uint32_t>(n()),
+                static_cast<std::uint32_t>(n()), n()}};
+    c.fallback = {1, 0};
+    c.misr.degree = static_cast<unsigned>(n());
+    c.misr.taps = n();
+    c.misr.fold = {static_cast<std::uint16_t>(n()),
+                   static_cast<std::uint16_t>(n())};
+    c.golden = n();
+    c.cut_outputs = n();
+    c.solve_seconds = f();
+    return c;
+  }
+};
+
+MixedSweepResult sentinel_sweep(Sentinel& s) {
+  MixedSweepResult r;
+  r.lengths = {s.n(), s.n()};
+  r.width = s.n();
+  r.stats.podem_calls = s.n();
+  r.stats.podem_cache_hits = s.n();
+  r.stats.podem_threads = static_cast<unsigned>(s.n());
+  r.stats.lfsr_seconds = s.f();
+  r.stats.podem_seconds = s.f();
+  r.stats.compact_seconds = s.f();
+  r.stats.solve_seconds = s.f();
+  r.status = s.status(StageCode::DeadlineExceeded);
+
+  MixedSchemeResult p;
+  p.lfsr_patterns = s.n();
+  p.tail_faults = s.n();
+  p.podem_detected = s.n();
+  p.redundant = s.n();
+  p.aborted = s.n();
+  p.podem_backtracks = s.n();
+  p.podem_decisions = s.n();
+  p.topoff_before_compaction = s.n();
+  p.topoff_patterns = s.n();
+  p.topoff = {s.bits(70), s.bits(70)};
+  p.comp = s.comp();
+  p.redundant_faults = {s.fault()};
+  p.aborted_faults = {s.fault(), s.fault()};
+  p.lfsr_coverage = s.f();
+  p.lfsr_coverage_weighted = s.f();
+  p.final_coverage = s.f();
+  p.final_coverage_weighted = s.f();
+  p.all_verified = false;
+  FaultSimResult& fr = p.lfsr_result;
+  fr.total_faults = s.n();
+  fr.sim_faults = s.n();
+  fr.detected = s.n();
+  fr.detected_weight = s.n();
+  fr.total_weight = s.n();
+  fr.patterns = s.n();
+  fr.status = s.status(StageCode::Cancelled);
+  fr.threads = static_cast<unsigned>(s.n());
+  fr.word_width = static_cast<unsigned>(s.n());
+  fr.first_detected = {static_cast<std::int64_t>(s.n()), -1};
+  fr.coverage = {s.f(), s.f()};
+  fr.coverage_weighted = {s.f()};
+  fr.faulty_gate_evals = s.n();
+  p.lfsr_seconds = s.f();
+  p.podem_seconds = s.f();
+  p.compact_seconds = s.f();
+  p.solve_seconds = s.f();
+  p.state = PointState::LfsrOnly;
+  p.status = s.status(StageCode::Error);
+  r.points = {p};
+  return r;
+}
+
+JobReport sentinel_report() {
+  Sentinel s;
+  JobReport r;
+  r.name = s.s();
+  r.status = s.status(StageCode::Rejected);
+  r.degraded = true;
+  r.wrapper_ok = true;
+  r.stages = {{s.s(), s.status(StageCode::Error), s.f(),
+               static_cast<unsigned>(s.n()), s.s()},
+              {s.s(), s.status(StageCode::Cancelled), s.f(),
+               static_cast<unsigned>(s.n()), s.s()}};
+  r.sweep = sentinel_sweep(s);
+
+  BistPlan& p = r.plan;
+  p.point_index = s.n();
+  p.lfsr_patterns = s.n();
+  p.topoff_patterns = s.n();
+  p.test_time = s.n();
+  p.rom_bits = s.n();
+  p.cost = s.f();
+  p.knee_distance = s.f();
+  p.area = {s.f(), s.f(), s.f(), s.f(), s.f(), s.f(),
+            s.n(), s.n(), s.n(), s.n()};
+  p.area_model = {s.f(), s.f(), s.f(), s.f(), s.f()};
+  p.lfsr_degree = static_cast<unsigned>(s.n());
+  p.lfsr_taps = s.n();
+  p.lfsr_seed = s.n();
+  p.width = s.n();
+  p.topoff = {s.bits(5)};
+  p.comp = s.comp();
+  p.lfsr_coverage = s.f();
+  p.final_coverage = s.f();
+  p.final_coverage_weighted = s.f();
+  p.degraded = true;
+  p.candidates = {{s.n(), s.n(), s.n(), s.n(), s.n(), s.n(), s.n(), s.n(),
+                   s.n(), s.f(), s.f(), false, s.f()}};
+
+  WrapperVerification& v = r.verification;
+  v.lfsr_phase_identical = true;
+  v.topoff_identical = true;
+  v.coverage_identical = true;
+  v.seeds_identical = true;
+  v.signature_identical = true;
+  v.cycles = s.n();
+  v.achieved_coverage = s.f();
+  v.achieved_coverage_weighted = s.f();
+  v.misr_signature = s.n();
+  v.aliasing = {s.n(), s.n(), s.f()};
+  v.status = s.status(StageCode::DeadlineExceeded);
+
+  r.solve_seconds = s.f();
+  r.wrapper_bench = s.s();
+  r.seconds = s.f();
+  r.cache = {true, true, true, true, true, s.s()};
+  return r;
+}
+
+void test_layout_pin() {
+  Sentinel s;
+  const MixedSweepResult sweep = sentinel_sweep(s);
+  const JobReport report = sentinel_report();
+  const std::vector<std::uint8_t> sweep_bytes = serialize_sweep(sweep);
+  const std::vector<std::uint8_t> report_bytes = serialize_job_report(report);
+  CHECK(serialize_sweep(deserialize_sweep(sweep_bytes)) == sweep_bytes);
+  CHECK(serialize_job_report(deserialize_job_report(report_bytes)) ==
+        report_bytes);
+
+  JobSpec spec;
+  spec.name = "c17";
+  spec.bench_text = c17_bench_text();
+  spec.sweep_lengths = {256, 64};
+  spec.tpg.podem.backtrack_limit = 77;
+  spec.tpg.misr_fold = {1, 0};
+  spec.tpg.compact = false;
+  const Netlist n = read_bench(spec.bench_text, "c17");
+
+  CHECK_EQ(kStoreFormatVersion, 3u);
+  CHECK_EQ(sweep_bytes.size(), 597u);
+  CHECK_EQ(fnv1a64(sweep_bytes), 0xf28a746be0da77a1ull);
+  CHECK_EQ(report_bytes.size(), 1324u);
+  CHECK_EQ(fnv1a64(report_bytes), 0x621d3d86fd3e3392ull);
+  CHECK_EQ(sweep_cache_key(n, spec.sweep_lengths, spec.tpg).hex(),
+           std::string("a26264a0144467dd262499995951dafe"));
+  CHECK_EQ(job_key(spec).hex(),
+           std::string("3dadd3222a26dd52284d5b18b5f88cad"));
+}
+
+// Adversarial bytes: every truncation and every single-byte XOR of a valid
+// payload must either throw or decode to a value that re-serializes to
+// exactly the mutated bytes — nothing is ever misdecoded silently.
+void test_malformed_payloads() {
+  const std::vector<std::uint8_t> good =
+      serialize_job_report(sentinel_report());
+  const auto throws_or_exact = [](const std::vector<std::uint8_t>& bytes) {
+    try {
+      return serialize_job_report(deserialize_job_report(bytes)) == bytes;
+    } catch (const std::runtime_error&) {
+      return true;
+    }
+  };
+  std::size_t bad = 0;
+  for (std::size_t cut = 0; cut < good.size(); ++cut)
+    if (!throws_or_exact({good.begin(), good.begin() + cut})) ++bad;
+  std::vector<std::uint8_t> t = good;
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    for (unsigned x = 1; x < 256; ++x) {
+      t[i] = static_cast<std::uint8_t>(good[i] ^ x);
+      if (!throws_or_exact(t)) ++bad;
+    }
+    t[i] = good[i];
+  }
+  CHECK_EQ(bad, 0u);
+  // A payload is exactly one record: trailing bytes are rejected.
+  t.push_back(0);
+  CHECK_THROWS(deserialize_job_report(t));
+
+  // A bit-vector length near 2^64 must not wrap the reader's word count
+  // into an empty vector that claims 2^64 - 1 bits.
+  {
+    MixedSweepResult sw;
+    sw.points.resize(1);
+    const std::vector<std::uint8_t> without = serialize_sweep(sw);
+    sw.points[0].topoff = {BitVec()};
+    std::vector<std::uint8_t> with = serialize_sweep(sw);
+    const auto count_at =
+        std::mismatch(without.begin(), without.end(), with.begin()).first -
+        without.begin();
+    std::fill_n(with.begin() + count_at + 8, 8, 0xFF);
+    CHECK_THROWS(deserialize_sweep(with));
   }
 }
 
@@ -493,6 +705,8 @@ int main() {
   test_record_framing();
   test_serializer_roundtrip();
   test_decoded_sweep_roundtrip();
+  test_layout_pin();
+  test_malformed_payloads();
   test_result_store();
   test_store_io_failure();
   return bist_test::summary();
