@@ -7,6 +7,7 @@
 
 #include "sim/bitpar_sim.hpp"
 #include "tpg/lfsr.hpp"
+#include "util/parallel.hpp"
 
 namespace bist {
 namespace {
@@ -75,95 +76,6 @@ std::uint64_t misr_signature(const SimKernel& cut,
   return misr_signature(cut, pack_all(applied, cut.inputs().size()), m, 0);
 }
 
-namespace {
-
-/// Audit core shared by misr_aliasing_check and choose_misr_fold: ONE
-/// fault-propagation sweep over the stream, evaluating every candidate
-/// output-to-stage assignment's escape count.  Returns per-candidate escape
-/// totals; `checked` gets the number of detected faults audited.
-std::vector<std::size_t> audit_fold_maps(
-    FaultSimulator& fsim, const SimKernel& cut,
-    std::span<const PatternBlock> blocks, std::size_t patterns,
-    unsigned K, std::uint64_t taps,
-    std::span<const std::int64_t> first_detected,
-    std::span<const std::vector<std::uint16_t>> maps, std::size_t* checked) {
-  const auto outs = cut.outputs();
-  const std::size_t n_blocks = (patterns + 63) / 64;
-  if (blocks.size() < n_blocks)
-    throw std::invalid_argument("misr fold audit: blocks short of stream");
-
-  // Backward transition powers, bitsliced for 64-lane accumulation:
-  // mask[block][c][k] bit `lane` = bit k of M^(patterns-1-t) * e_c at cycle
-  // t = block*64 + lane.  A fault's contribution bit k then accumulates as
-  // parity(class_diff_word & mask[...][c][k]) — one AND+popcount per
-  // (fault, block, diffing class, k) — and the class words are the only
-  // map-dependent quantity, so every candidate shares the same sweep.
-  const Gf2Matrix M = lfsr_transition(K, taps);
-  std::vector<std::uint64_t> mask(n_blocks * K * K, 0);
-  for (unsigned c = 0; c < K; ++c) {
-    std::uint64_t v = std::uint64_t{1} << c;  // M^0 * e_c at t = patterns-1
-    for (std::size_t t = patterns; t-- > 0;) {
-      const std::size_t base = (t / 64) * K * K + c * K;
-      const unsigned lane = t % 64;
-      for (unsigned k = 0; k < K; ++k)
-        mask[base + k] |= ((v >> k) & 1) << lane;
-      v = M.apply(v);
-    }
-  }
-
-  const std::size_t n_faults = fsim.faults().size();
-  const std::size_t n_maps = maps.size();
-  std::vector<std::uint64_t> acc(n_maps * n_faults, 0);
-  std::vector<std::uint64_t> diffs(outs.size());
-  std::vector<std::uint64_t> class_word(K);
-  KernelSim sim(cut);
-  for (std::size_t b = 0; b < n_blocks; ++b) {
-    sim.simulate(blocks[b]);
-    const std::size_t lanes_n = std::min<std::size_t>(64, patterns - b * 64);
-    const std::uint64_t lane_mask =
-        lanes_n == 64 ? ~std::uint64_t{0}
-                      : (std::uint64_t{1} << lanes_n) - 1;
-    const std::uint64_t* mblk = mask.data() + b * K * K;
-    for (std::size_t f = 0; f < n_faults; ++f) {
-      if (first_detected[f] < 0 ||
-          first_detected[f] >= std::int64_t(patterns))
-        continue;  // not detected within this stream (prefix results keep
-                   // later detections)
-      if (!fsim.output_diffs(fsim.faults()[f], sim.values(), lane_mask,
-                             diffs))
-        continue;  // no difference in this block
-      for (std::size_t mi = 0; mi < n_maps; ++mi) {
-        std::fill(class_word.begin(), class_word.end(), 0);
-        for (std::size_t o = 0; o < outs.size(); ++o)
-          class_word[maps[mi][o]] ^= diffs[o];
-        for (unsigned c = 0; c < K; ++c) {
-          const std::uint64_t cw = class_word[c];
-          if (!cw) continue;
-          const std::uint64_t* mc = mblk + c * K;
-          std::uint64_t delta = 0;
-          for (unsigned k = 0; k < K; ++k)
-            delta |= std::uint64_t(std::popcount(cw & mc[k]) & 1) << k;
-          acc[mi * n_faults + f] ^= delta;
-        }
-      }
-    }
-  }
-  std::size_t n_checked = 0;
-  std::vector<std::size_t> escapes(n_maps, 0);
-  for (std::size_t f = 0; f < n_faults; ++f) {
-    if (first_detected[f] < 0 ||
-        first_detected[f] >= std::int64_t(patterns))
-      continue;
-    ++n_checked;
-    for (std::size_t mi = 0; mi < n_maps; ++mi)
-      if (acc[mi * n_faults + f] == 0) ++escapes[mi];
-  }
-  if (checked) *checked = n_checked;
-  return escapes;
-}
-
-}  // namespace
-
 std::vector<std::uint16_t> fold_map(const MisrSpec& m, std::size_t outputs) {
   std::vector<std::uint16_t> map(outputs);
   for (std::size_t o = 0; o < outputs; ++o)
@@ -171,35 +83,316 @@ std::vector<std::uint16_t> fold_map(const MisrSpec& m, std::size_t outputs) {
   return map;
 }
 
-AliasingReport misr_aliasing_check(FaultSimulator& fsim, const SimKernel& cut,
-                                   std::span<const PatternBlock> blocks,
-                                   std::size_t patterns, const MisrSpec& m,
-                                   std::span<const std::int64_t> first_detected) {
-  AliasingReport rep;
-  rep.bound = std::ldexp(1.0, -int(m.degree));
-  if (!m.enabled() || patterns == 0) return rep;
-  const std::vector<std::vector<std::uint16_t>> maps{
-      fold_map(m, cut.outputs().size())};
-  const std::vector<std::size_t> esc =
-      audit_fold_maps(fsim, cut, blocks, patterns, m.degree, m.taps,
-                      first_detected, maps, &rep.detected_checked);
-  rep.escapes = esc[0];
-  return rep;
+namespace {
+
+/// The fold audit's GF(2) algebra for one MISR (degree K, transition M).
+///
+/// A fault escapes iff sum_t M^(n-1-t) * fold(d_t) is zero, i.e. (M being
+/// invertible) iff T = sum_t M^-t * fold(d_t) is zero — and T does not depend
+/// on the stream length n.  M^i * e_0 is stage i plus lower stages, so the
+/// vectors M^i * e_0 (i < K) form a basis and each stage vector is
+/// e_c = E_c * e_0 for a unique polynomial E_c in M.  Polynomials in M
+/// commute, so T = sum_c E_c * r_c with r_c the XOR over outputs o folded
+/// into stage c of q_o = sum_t d_o[t] * M^-t * e_0.  The per-output
+/// accumulators q_o are what the pass collects; they are independent of the
+/// output-to-stage map.  Accumulators are K <= 32 bits wide.
+using Acc = std::uint32_t;
+
+class AuditAlgebra {
+ public:
+  /// Tables for streams of up to `cycles` cycles.
+  AuditAlgebra(unsigned K, std::uint64_t taps, std::size_t cycles) : K_(K) {
+    if (K == 0 || K > 32)
+      throw std::invalid_argument(
+          "misr fold audit: MISR degree must be in [1, 32]");
+    const Gf2Matrix M = lfsr_transition(K, taps);
+    // raw_step shifts up and feeds parity(s & taps) into stage 0, so with
+    // the top tap set its inverse shifts down and recovers the top stage.
+    Gf2Matrix inv(K);
+    for (unsigned i = 0; i + 1 < K; ++i)
+      inv.set_row(i, std::uint64_t{1} << (i + 1));
+    inv.set_row(K - 1, 1 | ((taps & degree_mask(K - 1)) << 1));
+    if (!(M * inv == Gf2Matrix::identity(K)))
+      throw std::invalid_argument(
+          "misr fold audit: MISR transition is singular");
+
+    // Bitsliced M^-t * e_0: mask_[block * K + k] bit `lane` = bit k of the
+    // vector at cycle t = block * 64 + lane.  One spare block lets weigh()
+    // split a word that starts mid-block.
+    const std::size_t blocks = cycles / 64 + 2;
+    mask_.assign(blocks * K, 0);
+    std::uint64_t v = 1;
+    for (std::size_t t = 0; t < blocks * 64; ++t) {
+      std::uint64_t* row = mask_.data() + (t / 64) * K;
+      for (unsigned k = 0; k < K; ++k) row[k] |= ((v >> k) & 1) << (t % 64);
+      v = inv.apply(v);
+    }
+
+    // E_c = sum_i b_i M^i where Krylov * b = e_c, Krylov column i = M^i e_0.
+    std::vector<Gf2Matrix> pw{Gf2Matrix::identity(K)};
+    std::vector<std::uint64_t> krylov(K, 0);  // row k: bit i = bit k of M^i e_0
+    std::uint64_t col = 1;
+    for (unsigned i = 0; i < K; ++i) {
+      for (unsigned k = 0; k < K; ++k) krylov[k] |= ((col >> k) & 1) << i;
+      col = M.apply(col);
+      if (i + 1 < K) pw.push_back(pw.back() * M);
+    }
+    for (unsigned c = 0; c < K; ++c) {
+      Gf2Solver sys(K);
+      for (unsigned k = 0; k < K; ++k) sys.add(krylov[k], k == c);
+      const std::uint64_t b = sys.solve();
+      Gf2Matrix e(K);
+      for (unsigned r = 0; r < K; ++r) {
+        std::uint64_t row = 0;
+        for (unsigned i = 0; i < K; ++i)
+          if ((b >> i) & 1) row ^= pw[i].row(r);
+        e.set_row(r, row);
+      }
+      stage_.push_back(std::move(e));
+    }
+  }
+
+  unsigned degree() const { return K_; }
+
+  /// sum over the set lanes of `d` of M^-(at + lane) * e_0.
+  Acc weigh(std::uint64_t d, std::size_t at) const {
+    const std::size_t b = at / 64;
+    const unsigned s = at % 64;
+    if (s == 0) return dense(b, d);
+    return dense(b, d << s) ^ dense(b + 1, d >> (64 - s));
+  }
+
+  /// T of one fault: per-output accumulators `q` folded by `map`.
+  /// `cls` is K words of caller scratch.
+  std::uint64_t fold(const Acc* q, std::span<const std::uint16_t> map,
+                     Acc* cls) const {
+    std::fill_n(cls, K_, 0);
+    for (std::size_t o = 0; o < map.size(); ++o) cls[map[o]] ^= q[o];
+    std::uint64_t t = 0;
+    for (unsigned c = 0; c < K_; ++c)
+      if (cls[c]) t ^= stage_[c].apply(cls[c]);
+    return t;
+  }
+
+ private:
+  Acc dense(std::size_t block, std::uint64_t d) const {
+    if (!d) return 0;
+    const std::uint64_t* row = mask_.data() + block * K_;
+    Acc r = 0;
+    for (unsigned k = 0; k < K_; ++k)
+      r |= Acc(std::popcount(d & row[k]) & 1) << k;
+    return r;
+  }
+
+  unsigned K_;
+  std::vector<std::uint64_t> mask_;
+  std::vector<Gf2Matrix> stage_;
+};
+
+/// Throws unless every point's detection span matches the fault list and
+/// `stream` covers its prefix.
+void check_points(const FaultSimulator& fsim,
+                  std::span<const PatternBlock> stream,
+                  std::span<const AuditPoint> points) {
+  for (const AuditPoint& p : points) {
+    if (p.first_detected.size() != fsim.faults().size())
+      throw std::invalid_argument(
+          "misr fold audit: first_detected does not match the fault list");
+    if (stream.size() < (p.prefix + 63) / 64)
+      throw std::invalid_argument("misr fold audit: blocks short of stream");
+  }
 }
 
-MisrSpec choose_misr_fold(FaultSimulator& fsim, const SimKernel& cut,
-                          std::span<const PatternBlock> blocks,
-                          std::size_t patterns,
-                          std::span<const std::int64_t> first_detected,
-                          MisrSpec base) {
-  const std::size_t outs = cut.outputs().size();
-  if (!base.enabled() || patterns == 0 || outs == 0) return base;
-  const unsigned K = base.degree;
+/// Per point: the chosen candidate (index into the map list), its escape
+/// count and the number of detected faults audited.
+struct PointAudit {
+  std::size_t map = 0;
+  std::size_t escapes = 0;
+  std::size_t checked = 0;
+};
 
-  // Candidate family, in preference order: natural modulo fold, diagonal
-  // staggers (o + s*(o/K)) mod K — these split the bus-aligned stride-K
-  // pairs the natural fold collapses — then deterministic hashed
-  // assignments for CUTs whose output correlations defeat every stagger.
+/// Lanes [lo, hi) of a 64-lane word.
+std::uint64_t lane_range(unsigned lo, unsigned hi) {
+  const std::uint64_t upto = hi >= 64 ? ~std::uint64_t{0}
+                                      : (std::uint64_t{1} << hi) - 1;
+  return upto & ~((std::uint64_t{1} << lo) - 1);
+}
+
+/// The audit engine behind choose_misr_folds and misr_aliasing_check: one
+/// forward pass over `stream` accumulating every fault's per-output
+/// contribution, each point finalized when the pass reaches its prefix —
+/// its audited faults' accumulators plus its own top-off blocks — with
+/// maps[0] evaluated first and the rest of `maps` only if it has escapes.
+/// The chosen map is the first clean one, otherwise the fewest escapes
+/// (first on ties).
+std::vector<PointAudit> audit_points(
+    FaultSimulator& fsim, const SimKernel& cut,
+    std::span<const PatternBlock> stream, std::span<const AuditPoint> points,
+    const MisrSpec& m, std::span<const std::vector<std::uint16_t>> maps,
+    unsigned threads) {
+  const std::span<const Fault> faults = fsim.faults();
+  const std::size_t n_faults = faults.size();
+  const std::size_t n_outs = cut.outputs().size();
+
+  // Stream length per point, and per fault the stream window the pass must
+  // cover: from its earliest audited detection to the longest prefix of a
+  // point that audits it.
+  std::vector<std::size_t> length(points.size());
+  std::size_t cycles = 0;
+  std::vector<std::int64_t> first(n_faults, -1);
+  std::vector<std::size_t> until(n_faults, 0);
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    length[p] = points[p].prefix;
+    for (const PatternBlock& b : points[p].topoff) length[p] += b.count;
+    cycles = std::max(cycles, length[p]);
+    for (std::size_t f = 0; f < n_faults; ++f) {
+      const std::int64_t fd = points[p].first_detected[f];
+      if (fd < 0 || fd >= std::int64_t(length[p])) continue;
+      if (first[f] < 0 || fd < first[f]) first[f] = fd;
+      until[f] = std::max(until[f], points[p].prefix);
+    }
+  }
+  std::vector<std::uint32_t> live;  // faults the stream pass propagates
+  std::vector<std::int64_t> row_of(n_faults, -1);
+  for (std::size_t f = 0; f < n_faults; ++f)
+    if (first[f] >= 0 && std::size_t(first[f]) < until[f]) {
+      row_of[f] = std::int64_t(live.size());
+      live.push_back(static_cast<std::uint32_t>(f));
+    }
+
+  const AuditAlgebra alg(m.degree, m.taps, cycles);
+  WorkerPool& pool = fsim.pool(threads);
+  struct Worker {
+    PropagationScratch scratch;
+    std::vector<std::uint64_t> diffs;
+    std::vector<Acc> row;
+    std::vector<Acc> cls;
+    std::vector<std::size_t> escapes;
+  };
+  std::vector<Worker> workers;
+  for (unsigned w = 0; w < pool.workers(); ++w)
+    workers.push_back({PropagationScratch(cut),
+                       std::vector<std::uint64_t>(n_outs),
+                       std::vector<Acc>(n_outs),
+                       std::vector<Acc>(alg.degree()), {}});
+  constexpr std::size_t kGrain = 16;
+
+  // Propagate fault f over one block of good values, adding each flipped
+  // output's weighted lanes (lane 0 at cycle `at`) into its row.
+  const auto add_block = [&](Worker& w, std::uint32_t f,
+                             std::span<const std::uint64_t> good,
+                             std::uint64_t lanes, std::size_t at, Acc* row) {
+    if (!fsim.output_diffs(faults[f], good, lanes, w.diffs, w.scratch)) return;
+    for (std::size_t o = 0; o < n_outs; ++o)
+      if (w.diffs[o]) row[o] ^= alg.weigh(w.diffs[o], at);
+  };
+
+  std::vector<Acc> q(live.size() * n_outs, 0);
+  std::vector<PointAudit> out(points.size());
+  KernelSim good(cut);
+  std::size_t simulated = std::size_t(-1);  // stream block held by `good`
+
+  const auto finalize = [&](std::size_t p) {
+    const AuditPoint& pt = points[p];
+    std::vector<std::uint32_t> audited;
+    for (std::size_t f = 0; f < n_faults; ++f) {
+      const std::int64_t fd = pt.first_detected[f];
+      if (fd >= 0 && fd < std::int64_t(length[p]))
+        audited.push_back(static_cast<std::uint32_t>(f));
+    }
+    out[p].checked = audited.size();
+    if (audited.empty()) return;
+    std::vector<std::vector<std::uint64_t>> topoff_good;
+    for (const PatternBlock& blk : pt.topoff) {
+      good.simulate(blk);
+      topoff_good.emplace_back(good.values().begin(), good.values().end());
+    }
+    simulated = std::size_t(-1);
+
+    // Escape counts of maps [mb, me).  Each worker rebuilds a fault's full
+    // row in its own buffer — the stream accumulators at this prefix plus
+    // the top-off blocks — so no per-point copy of the accumulators exists.
+    const auto count = [&](std::size_t mb, std::size_t me) {
+      for (Worker& w : workers) w.escapes.assign(me - mb, 0);
+      parallel_for(pool, audited.size(), kGrain,
+                   [&](unsigned wid, std::size_t b, std::size_t e) {
+        Worker& w = workers[wid];
+        for (std::size_t i = b; i < e; ++i) {
+          const std::uint32_t f = audited[i];
+          if (row_of[f] >= 0)
+            std::copy_n(q.data() + row_of[f] * n_outs, n_outs, w.row.data());
+          else
+            std::fill(w.row.begin(), w.row.end(), 0);
+          std::size_t at = pt.prefix;
+          for (std::size_t j = 0; j < topoff_good.size(); ++j) {
+            add_block(w, f, topoff_good[j], pt.topoff[j].lane_mask(), at,
+                      w.row.data());
+            at += pt.topoff[j].count;
+          }
+          for (std::size_t mi = mb; mi < me; ++mi)
+            if (alg.fold(w.row.data(), maps[mi], w.cls.data()) == 0)
+              ++w.escapes[mi - mb];
+        }
+      });
+      std::vector<std::size_t> total(me - mb, 0);
+      for (const Worker& w : workers)
+        for (std::size_t j = 0; j < total.size(); ++j) total[j] += w.escapes[j];
+      return total;
+    };
+    out[p].escapes = count(0, 1)[0];
+    if (out[p].escapes == 0 || maps.size() < 2) return;
+    const std::vector<std::size_t> rest = count(1, maps.size());
+    for (std::size_t j = 0; j < rest.size(); ++j)
+      if (rest[j] < out[p].escapes) {
+        out[p].map = j + 1;
+        out[p].escapes = rest[j];
+      }
+  };
+
+  // The forward pass: block by block, split at point prefixes; a point is
+  // finalized as soon as the pass has covered exactly its prefix.  Rows are
+  // disjoint per fault, so the split over workers cannot race.
+  std::vector<std::size_t> order(points.size());
+  for (std::size_t p = 0; p < order.size(); ++p) order[p] = p;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return points[a].prefix < points[b].prefix;
+                   });
+  std::size_t next = 0;
+  std::size_t cur = 0;
+  while (true) {
+    while (next < order.size() && points[order[next]].prefix == cur)
+      finalize(order[next++]);
+    if (next == order.size()) break;
+    const std::size_t b = cur / 64;
+    const std::size_t end =
+        std::min((b + 1) * 64, points[order[next]].prefix);
+    if (simulated != b) {
+      good.simulate(stream[b]);
+      simulated = b;
+    }
+    const std::uint64_t lanes = lane_range(cur % 64, end - b * 64);
+    parallel_for(pool, live.size(), kGrain,
+                 [&](unsigned wid, std::size_t lb, std::size_t le) {
+      for (std::size_t i = lb; i < le; ++i) {
+        const std::uint32_t f = live[i];
+        if (std::size_t(first[f]) < end && until[f] > cur)
+          add_block(workers[wid], f, good.values(), lanes, b * 64,
+                    q.data() + i * n_outs);
+      }
+    });
+    cur = end;
+  }
+  return out;
+}
+
+}  // namespace
+
+std::vector<std::vector<std::uint16_t>> misr_fold_candidates(unsigned K,
+                                                             std::size_t outs) {
+  // Diagonal staggers split the bus-aligned stride-K pairs the natural
+  // fold collapses; the hashed assignments cover CUTs whose output
+  // correlations defeat every stagger.
   std::vector<std::vector<std::uint16_t>> maps;
   for (unsigned s = 0; s < K; ++s) {
     std::vector<std::uint16_t> map(outs);
@@ -220,15 +413,45 @@ MisrSpec choose_misr_fold(FaultSimulator& fsim, const SimKernel& cut,
     }
     maps.push_back(std::move(map));
   }
+  return maps;
+}
 
-  const std::vector<std::size_t> esc = audit_fold_maps(
-      fsim, cut, blocks, patterns, K, base.taps, first_detected, maps, nullptr);
-  std::size_t best = 0;
-  for (std::size_t mi = 0; mi < maps.size() && esc[best] != 0; ++mi)
-    if (esc[mi] < esc[best]) best = mi;
-  if (best == 0) return base;  // natural fold clean (or nothing better)
-  base.fold = std::move(maps[best]);
-  return base;
+std::vector<AliasingReport> misr_aliasing_check(
+    FaultSimulator& fsim, const SimKernel& cut,
+    std::span<const PatternBlock> stream, std::span<const AuditPoint> points,
+    const MisrSpec& m, unsigned threads) {
+  check_points(fsim, stream, points);
+  std::vector<AliasingReport> reps(points.size());
+  for (AliasingReport& rep : reps) rep.bound = std::ldexp(1.0, -int(m.degree));
+  if (!m.enabled()) return reps;
+  const std::vector<std::vector<std::uint16_t>> maps{
+      fold_map(m, cut.outputs().size())};
+  const std::vector<PointAudit> audits =
+      audit_points(fsim, cut, stream, points, m, maps, threads);
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    reps[p].detected_checked = audits[p].checked;
+    reps[p].escapes = audits[p].escapes;
+  }
+  return reps;
+}
+
+std::vector<MisrSpec> choose_misr_folds(FaultSimulator& fsim,
+                                        const SimKernel& cut,
+                                        std::span<const PatternBlock> stream,
+                                        std::span<const AuditPoint> points,
+                                        const MisrSpec& base,
+                                        unsigned threads) {
+  check_points(fsim, stream, points);
+  std::vector<MisrSpec> specs(points.size(), base);
+  const std::size_t outs = cut.outputs().size();
+  if (!base.enabled() || outs == 0) return specs;
+  const std::vector<std::vector<std::uint16_t>> maps =
+      misr_fold_candidates(base.degree, outs);
+  const std::vector<PointAudit> audits =
+      audit_points(fsim, cut, stream, points, base, maps, threads);
+  for (std::size_t p = 0; p < points.size(); ++p)
+    if (audits[p].map != 0) specs[p].fold = maps[audits[p].map];
+  return specs;
 }
 
 // ---------------------------------------------------------------------------

@@ -34,11 +34,31 @@
 // stage o mod K) every cycle; the golden signature is computed by good-
 // machine simulation over the exact applied stream.  Aliasing: a detected
 // fault escapes iff its accumulated output-difference contribution is zero
-// — probability 2^-K for a random difference stream — and
-// misr_aliasing_check() verifies *empirically* that no detected fault in
-// the final fault list aliases on the applied set, using the MISR's
-// linearity (signature_fault = golden XOR sum over diff bits of
-// M^(cycles-1-t) * fold(output)).
+// — probability 2^-K for a random difference stream — and the fold audit
+// (choose_misr_folds / misr_aliasing_check) verifies *empirically* that no
+// detected fault in the final fault list aliases on the applied set, using
+// the MISR's linearity.  The audit is one engine with three properties:
+//
+//   one pass      a fault's signature difference over n cycles is
+//                 M^(n-1) * sum_t M^-t * fold(d_t), zero iff the sum is, and
+//                 the sum does not depend on n.  Points that share a stream
+//                 prefix (every sweep point is the first L patterns of one
+//                 LFSR stream, then its own top-off set) are audited in ONE
+//                 forward pass over the longest prefix: each point is
+//                 finalized when the pass reaches its length, by a copy of
+//                 the accumulators plus its own top-off blocks.
+//   all maps      the accumulators are per primary output, not per MISR
+//                 stage, so they do not depend on the output-to-stage map;
+//                 each candidate map costs one fold of them per fault and
+//                 point (every stage vector is a polynomial in M applied to
+//                 stage 0's, and polynomials in M commute).
+//   lazy          candidates are evaluated in preference order: the natural
+//                 fold alone first, the rest of the family only for points
+//                 where it has escapes.
+//
+// Faults are split over the FaultSimulator's worker pool, each worker with
+// its own propagation scratch; per-fault accumulators are XORs and escape
+// counts sums, so results are identical at every thread count.
 
 #include <cstdint>
 #include <functional>
@@ -66,7 +86,7 @@ namespace bist {
 /// share a stage and flip simultaneously injects nothing at all, and
 /// escapes at any stream length regardless of the 2^-degree bound — wide
 /// bus-structured CUTs (outputs o and o+degree in one cone) hit this in
-/// practice.  choose_misr_fold() audits a deterministic candidate family of
+/// practice.  choose_misr_folds() audits a deterministic candidate family of
 /// assignments against the real fault list and picks one with no escapes.
 struct MisrSpec {
   unsigned degree = 0;
@@ -124,34 +144,61 @@ struct AliasingReport {
   double bound = 0;                  ///< 2^-degree single-fault bound
 };
 
-/// For every detected fault (first_detected[i] >= 0, from a run over the
-/// same `blocks`), accumulate its output-difference MISR contribution and
-/// count the faults whose contribution cancels to zero (signature ==
-/// golden).  Exact — per-output difference words come from the fault
-/// simulator's propagation engine — and independent of the golden value
-/// itself by MISR linearity.  `patterns` is the stream length (the last
-/// block may be partial).
-AliasingReport misr_aliasing_check(FaultSimulator& fsim, const SimKernel& cut,
-                                   std::span<const PatternBlock> blocks,
-                                   std::size_t patterns, const MisrSpec& m,
-                                   std::span<const std::int64_t> first_detected);
+/// One applied stream the fold audit signs off: the first `prefix` patterns
+/// of a stream shared by every point of the call, then the point's own
+/// `topoff` blocks.
+struct AuditPoint {
+  std::size_t prefix = 0;
+  std::span<const PatternBlock> topoff;
+  /// Per fault of the simulator: index of the first detecting pattern
+  /// within this point's applied stream (-1 = not detected), as a run over
+  /// that stream reports it.  Faults with 0 <= first_detected < stream
+  /// length are audited; no fault differs at an output before its first
+  /// detection, so the pass skips those cycles.
+  std::span<const std::int64_t> first_detected;
+};
 
-/// Audited fold selection: evaluate a deterministic family of output-to-
-/// stage assignments (the natural fold, diagonal staggers, then hashed
-/// assignments) against the detected faults of the given stream — all in
-/// ONE fault-propagation sweep — and return `base` with the first
+/// Empirical aliasing audit of one fold over every point's applied stream:
+/// for every detected fault, accumulate its output-difference MISR
+/// contribution and count the faults whose contribution cancels to zero
+/// (signature == golden).  Exact — per-output difference words come from
+/// the fault simulator's propagation engine — and independent of the golden
+/// value itself by MISR linearity.  `stream` must cover every point's
+/// prefix; verify_wrapper audits its applied stream as one point with no
+/// separate top-off.  `threads` sizes fsim's worker pool (resolve_threads
+/// semantics); the reports are the same at every width.  Throws
+/// std::invalid_argument when a point's `first_detected` does not hold one
+/// entry per fault of `fsim` or `stream` is short of its prefix.
+std::vector<AliasingReport> misr_aliasing_check(
+    FaultSimulator& fsim, const SimKernel& cut,
+    std::span<const PatternBlock> stream, std::span<const AuditPoint> points,
+    const MisrSpec& m, unsigned threads = 1);
+
+/// The audited fold family for a degree-K MISR over `outputs` CUT outputs,
+/// in preference order: the natural o mod K fold, the diagonal staggers
+/// (o + s*(o/K)) mod K for s = 1..K-1, then 8 deterministic hashed
+/// assignments.
+std::vector<std::vector<std::uint16_t>> misr_fold_candidates(
+    unsigned degree, std::size_t outputs);
+
+/// Audited fold selection for every point at once: evaluate the
+/// misr_fold_candidates() family against the detected faults of each
+/// point's applied stream, and return `base` per point with the first
 /// assignment whose empirical escape count is zero (preferring the natural
 /// fold, so clean CUTs keep the canonical wiring).  When no candidate is
-/// clean the one with the fewest escapes wins; verify_wrapper/bench report
-/// the residue honestly.  Callers audit the exact applied stream of the
+/// clean the one with the fewest escapes wins (first on ties);
+/// verify_wrapper/bench report the residue honestly.  `stream` must cover
+/// every point's prefix.  Callers audit the exact applied stream of the
 /// point being signed off — in particular including the top-off patterns,
 /// since the structural escapers are random-pattern-resistant faults the
-/// pseudo-random phase never detects (and so never audits).
-MisrSpec choose_misr_fold(FaultSimulator& fsim, const SimKernel& cut,
-                          std::span<const PatternBlock> blocks,
-                          std::size_t patterns,
-                          std::span<const std::int64_t> first_detected,
-                          MisrSpec base);
+/// pseudo-random phase never detects (and so never audits).  Same
+/// `threads` contract and argument checks as misr_aliasing_check.
+std::vector<MisrSpec> choose_misr_folds(FaultSimulator& fsim,
+                                        const SimKernel& cut,
+                                        std::span<const PatternBlock> stream,
+                                        std::span<const AuditPoint> points,
+                                        const MisrSpec& base,
+                                        unsigned threads = 1);
 
 // ---------------------------------------------------------------------------
 // Seed schedules

@@ -185,9 +185,11 @@ WrapperVerification verify_wrapper(const Netlist& wrapper, const Netlist& cut,
 
   // Empirical aliasing audit over the applied stream: does any detected
   // fault's signature collide with the golden one?
-  if (comp.misr.enabled())
-    v.aliasing = misr_aliasing_check(fsim, ck, blocks, ws.applied.size(),
-                                     comp.misr, fr.first_detected);
+  if (comp.misr.enabled()) {
+    const AuditPoint applied{ws.applied.size(), {}, fr.first_detected};
+    v.aliasing = misr_aliasing_check(fsim, ck, blocks, {&applied, 1},
+                                     comp.misr, fo.threads)[0];
+  }
   return v;
 }
 

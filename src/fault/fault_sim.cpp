@@ -109,10 +109,13 @@ SimWord<W> local_stem_word(const SimKernel& k, const Fault& f,
 // (subset of `lanes`): returns the lanes on which the stem flip reaches a
 // primary output.  Lanes are independent in 2-valued simulation, so the
 // result is exact per lane even when `diff` ORs several faults' stem words.
+// With `po_diffs` (64-lane words only) it also writes each primary output's
+// flip lanes, in PO order.
 template <unsigned W>
 SimWord<W> propagate_stem(const SimKernel& k, KIndex stem, SimWord<W> diff,
                           const SimWord<W>* good, SimWord<W> lanes,
-                          FfrScratch<W>& s, std::uint64_t* evals) {
+                          FfrScratch<W>& s, std::uint64_t* evals,
+                          std::uint64_t* po_diffs = nullptr) {
   using Word = SimWord<W>;
   const MicroOp* op = k.op_data();
   const std::uint64_t* inv = k.invert_data();
@@ -165,12 +168,32 @@ SimWord<W> propagate_stem(const SimKernel& k, KIndex stem, SimWord<W> diff,
     }
     q.clear();
   }
+  if constexpr (W == 1) {
+    if (po_diffs) {
+      const auto outs = k.outputs();
+      for (std::size_t i = 0; i < outs.size(); ++i) {
+        const KIndex o = outs[i];
+        po_diffs[i] = s.touched[o] ? (s.fval[o] ^ good[o]) & lanes : 0;
+      }
+    }
+  }
   for (const KIndex u : s.touched_list) s.touched[u] = 0;
   s.touched_list.clear();
   return det;
 }
 
 }  // namespace
+
+struct PropagationScratch::Impl : FfrScratch<1> {};
+
+PropagationScratch::PropagationScratch(const SimKernel& k)
+    : impl_(std::make_unique<Impl>()) {
+  impl_->init(k);
+}
+PropagationScratch::~PropagationScratch() = default;
+PropagationScratch::PropagationScratch(PropagationScratch&&) noexcept = default;
+PropagationScratch& PropagationScratch::operator=(
+    PropagationScratch&&) noexcept = default;
 
 std::vector<std::uint32_t> FaultSimResult::tail_at(std::size_t length) const {
   std::vector<std::uint32_t> tail;
@@ -226,7 +249,7 @@ FaultSimResult FaultSimulator::prefix_result(const FaultSimResult& full,
   return r;
 }
 
-FaultSimulator::FaultSimulator(const SimKernel& k) : k_(&k) {
+FaultSimulator::FaultSimulator(const SimKernel& k) : k_(&k), scratch_(k) {
   const auto all = enumerate_faults(k.netlist());
   total_faults_ = all.size();
   CollapsedFaults c = collapse_faults_sized(k.netlist(), all);
@@ -234,7 +257,6 @@ FaultSimulator::FaultSimulator(const SimKernel& k) : k_(&k) {
   weights_ = std::move(c.class_size);
   total_weight_ = std::accumulate(weights_.begin(), weights_.end(),
                                   std::uint64_t{0});
-  init_scratch();
   build_stem_groups();
 }
 
@@ -242,25 +264,22 @@ FaultSimulator::FaultSimulator(const SimKernel& k, std::vector<Fault> faults,
                                std::size_t total_faults,
                                std::vector<std::uint32_t> weights)
     : k_(&k), faults_(std::move(faults)), weights_(std::move(weights)),
-      total_faults_(total_faults) {
+      total_faults_(total_faults), scratch_(k) {
   if (weights_.empty()) weights_.assign(faults_.size(), 1);
   if (weights_.size() != faults_.size())
     throw std::invalid_argument("FaultSimulator: weights/faults size mismatch");
   total_weight_ = std::accumulate(weights_.begin(), weights_.end(),
                                   std::uint64_t{0});
-  init_scratch();
   build_stem_groups();
 }
 
 FaultSimulator::~FaultSimulator() = default;
 
-void FaultSimulator::init_scratch() {
-  const std::size_t cnt = k_->gate_count();
-  fval_.assign(cnt, 0);
-  touched_.assign(cnt, 0);
-  touched_list_.reserve(cnt);
-  queued_.assign(cnt, 0);
-  reserve_level_queues(*k_, level_queues_);
+WorkerPool& FaultSimulator::pool(unsigned threads) {
+  const unsigned workers = resolve_threads(threads);
+  if (!pool_ || pool_->workers() != workers)
+    pool_ = std::make_unique<WorkerPool>(workers);
+  return *pool_;
 }
 
 void FaultSimulator::build_stem_groups() {
@@ -291,92 +310,34 @@ void FaultSimulator::build_stem_groups() {
 std::uint64_t FaultSimulator::propagate_fault(const Fault& f,
                                               const std::uint64_t* good,
                                               std::uint64_t lanes,
-                                              std::uint64_t* evals,
-                                              std::uint64_t* po_diffs) {
+                                              PropagationScratch& s,
+                                              std::uint64_t* po_diffs) const {
   const KIndex site = k_->index_of(f.gate);
   const std::uint64_t stuck_word = f.stuck ? ~std::uint64_t{0} : 0;
-  const MicroOp* op = k_->op_data();
-  const std::uint64_t* inv = k_->invert_data();
-  const std::uint32_t* off = k_->fanin_offset_data();
-  const KIndex* fi = k_->fanin_data();
-  const std::uint32_t* fo_off = k_->fanout_offset_data();
-  const KIndex* fo = k_->fanout_data();
-  const std::uint32_t* lvl = k_->level_data();
-  const char* is_out = k_->is_output_data();
-  const unsigned max_lv = k_->max_level();
-
+  std::uint64_t evals = 0;
   std::uint64_t site_val;
   if (f.is_output_fault()) {
     site_val = stuck_word;
   } else {
     // Branch fault: re-evaluate the site gate with the faulted pin forced.
-    const std::uint32_t b = off[site];
-    const std::uint32_t forced = b + static_cast<std::uint32_t>(f.pin);
     // Fanin order is preserved by the kernel renumbering, so pin j of the
     // netlist gate is slot b+j of the kernel CSR row.
-    site_val = eval_reduce(op[site], inv[site], b, off[site + 1],
-                           [&](std::uint32_t i) {
+    const std::uint32_t* off = k_->fanin_offset_data();
+    const KIndex* fi = k_->fanin_data();
+    const std::uint32_t b = off[site];
+    const std::uint32_t forced = b + static_cast<std::uint32_t>(f.pin);
+    site_val = eval_reduce(k_->op_data()[site], k_->invert_data()[site], b,
+                           off[site + 1], [&](std::uint32_t i) {
                              return i == forced ? stuck_word : good[fi[i]];
                            });
-    ++*evals;
   }
-  const std::size_t n_outs = k_->outputs().size();
-  if (po_diffs)
-    for (std::size_t i = 0; i < n_outs; ++i) po_diffs[i] = 0;
   const std::uint64_t site_diff = (site_val ^ good[site]) & lanes;
-  if (!site_diff) return 0;  // fault not activated by any lane
-
-  std::uint64_t det = 0;
-  fval_[site] = site_val;
-  touched_[site] = 1;
-  touched_list_.push_back(site);
-  if (is_out[site]) det |= site_diff;
-
-  unsigned lo_level = max_lv + 1;
-  for (std::uint32_t i = fo_off[site]; i < fo_off[site + 1]; ++i) {
-    const KIndex u = fo[i];
-    if (!queued_[u]) {
-      queued_[u] = 1;
-      level_queues_[lvl[u]].push_back(u);
-      lo_level = std::min(lo_level, static_cast<unsigned>(lvl[u]));
-    }
+  if (!site_diff) {  // fault not activated by any lane
+    if (po_diffs) std::fill_n(po_diffs, k_->outputs().size(), 0);
+    return 0;
   }
-  for (unsigned lq = lo_level; lq <= max_lv; ++lq) {
-    auto& q = level_queues_[lq];
-    for (const KIndex u : q) {
-      queued_[u] = 0;
-      const std::uint64_t v =
-          eval_reduce(op[u], inv[u], off[u], off[u + 1], [&](std::uint32_t i) {
-            const KIndex w = fi[i];
-            return touched_[w] ? fval_[w] : good[w];
-          });
-      ++*evals;
-      if (((v ^ good[u]) & lanes) == 0) continue;  // divergence dies here
-      fval_[u] = v;
-      touched_[u] = 1;
-      touched_list_.push_back(u);
-      if (is_out[u]) det |= (v ^ good[u]) & lanes;
-      for (std::uint32_t i = fo_off[u]; i < fo_off[u + 1]; ++i) {
-        const KIndex w = fo[i];
-        if (!queued_[w]) {
-          queued_[w] = 1;
-          level_queues_[lvl[w]].push_back(w);
-        }
-      }
-    }
-    q.clear();
-  }
-
-  if (po_diffs) {
-    const auto outs = k_->outputs();
-    for (std::size_t i = 0; i < n_outs; ++i) {
-      const KIndex o = outs[i];
-      if (touched_[o]) po_diffs[i] = (fval_[o] ^ good[o]) & lanes;
-    }
-  }
-  for (const KIndex u : touched_list_) touched_[u] = 0;
-  touched_list_.clear();
-  return det;
+  return propagate_stem<1>(*k_, site, site_diff, good, lanes, *s.impl_,
+                           &evals, po_diffs);
 }
 
 void FaultSimulator::finalize_curves(FaultSimResult& r) const {
@@ -421,10 +382,7 @@ FaultSimResult FaultSimulator::run_ffr(std::span<const PatternBlock> blocks,
   r.first_detected.assign(faults_.size(), -1);
   r.word_width = W;
 
-  const unsigned workers = resolve_threads(opt.threads);
-  if (!pool_ || pool_->workers() != workers)
-    pool_ = std::make_unique<WorkerPool>(workers);
-  WorkerPool& pool = *pool_;
+  WorkerPool& pool = this->pool(opt.threads);
   r.threads = pool.workers();
 
   // Live fault lists per stem group; dropping shrinks a group in place.

@@ -50,6 +50,22 @@ namespace bist {
 
 class WorkerPool;
 
+/// Caller-owned event-driven propagation scratch for
+/// FaultSimulator::output_diffs(): one per thread, sized for one kernel.
+/// Threads that each own one may call output_diffs() concurrently.
+class PropagationScratch {
+ public:
+  explicit PropagationScratch(const SimKernel& k);
+  ~PropagationScratch();
+  PropagationScratch(PropagationScratch&&) noexcept;
+  PropagationScratch& operator=(PropagationScratch&&) noexcept;
+
+ private:
+  friend class FaultSimulator;
+  struct Impl;
+  std::unique_ptr<Impl> impl_;
+};
+
 struct FaultSimOptions {
   bool drop_detected = true;  ///< stop simulating a fault once detected
   /// Worker count for the stem-group partition; 0 = hardware_concurrency.
@@ -157,31 +173,39 @@ class FaultSimulator {
   /// Lanes of `good_values` (a KernelSim values() array for the current
   /// block, kernel-index space) on which fault f is detected at some primary
   /// output.  Building block for pattern verification and static compaction.
+  /// Uses the simulator's own scratch, so calls must not overlap.
   std::uint64_t detect_lanes(const Fault& f,
                              std::span<const std::uint64_t> good_values,
                              std::uint64_t lane_mask) {
-    std::uint64_t evals = 0;
-    return propagate_fault(f, good_values.data(), lane_mask, &evals);
+    return propagate_fault(f, good_values.data(), lane_mask, scratch_,
+                           nullptr);
   }
 
   /// detect_lanes plus the per-primary-output difference words: diffs[i]
   /// (PO order, size >= output count) gets the lanes on which fault f flips
   /// output i.  Building block of the MISR aliasing audit (bist/compress),
-  /// which needs *where* a fault is observed, not just whether.
+  /// which needs *where* a fault is observed, not just whether.  All mutable
+  /// state lives in `scratch`, so concurrent calls with distinct scratch
+  /// objects are safe.
   std::uint64_t output_diffs(const Fault& f,
                              std::span<const std::uint64_t> good_values,
                              std::uint64_t lane_mask,
-                             std::span<std::uint64_t> diffs) {
-    std::uint64_t evals = 0;
-    return propagate_fault(f, good_values.data(), lane_mask, &evals,
+                             std::span<std::uint64_t> diffs,
+                             PropagationScratch& scratch) const {
+    return propagate_fault(f, good_values.data(), lane_mask, scratch,
                            diffs.data());
   }
 
+  /// The simulator's persistent worker pool at `threads` workers
+  /// (resolve_threads semantics; rebuilt only when the width changes).
+  /// run() splits stem groups over it; the aliasing audit splits faults
+  /// over it.  Not reentrant: one parallel region at a time.
+  WorkerPool& pool(unsigned threads);
+
  private:
   std::uint64_t propagate_fault(const Fault& f, const std::uint64_t* good,
-                                std::uint64_t lanes, std::uint64_t* evals,
-                                std::uint64_t* po_diffs = nullptr);
-  void init_scratch();
+                                std::uint64_t lanes, PropagationScratch& s,
+                                std::uint64_t* po_diffs) const;
   void build_stem_groups();
   template <unsigned W>
   FaultSimResult run_ffr(std::span<const PatternBlock> blocks,
@@ -206,14 +230,8 @@ class FaultSimulator {
   // worker count changes), so repeated runs don't pay thread spawn cost.
   std::unique_ptr<WorkerPool> pool_;
 
-  // Per-fault propagation scratch in kernel-index space behind
-  // detect_lanes() and output_diffs(), reset via touched_list_ after each
-  // fault.
-  std::vector<std::uint64_t> fval_;
-  std::vector<char> touched_;
-  std::vector<KIndex> touched_list_;
-  std::vector<std::vector<KIndex>> level_queues_;
-  std::vector<char> queued_;
+  // Propagation scratch behind detect_lanes().
+  PropagationScratch scratch_;
 };
 
 }  // namespace bist

@@ -59,12 +59,15 @@ struct MixedTpgOptions {
   unsigned misr_degree = 0;
   /// MISR output-to-stage assignment override (size = CUT output count,
   /// values < degree).  Empty = audited automatic selection, per point:
-  /// once a point's applied stream is final (pseudo-random prefix plus kept
-  /// top-off set), choose_misr_fold() picks an assignment with zero
-  /// empirical aliasing escapes over everything that stream detects (the
-  /// natural o mod K fold when it is already clean).  The audit must see
-  /// the top-off patterns: the random-pattern-resistant faults they target
-  /// are exactly the ones a pseudo-random-only audit can never check.
+  /// after the sweep's point loop, when every point's applied stream is
+  /// final (pseudo-random prefix plus kept top-off set), choose_misr_folds()
+  /// picks for each point an assignment with zero empirical aliasing
+  /// escapes over everything that stream detects (the natural o mod K fold
+  /// when it is already clean) — all points in one forward pass over the
+  /// shared LFSR stream, faults split over the fsim worker pool.  The audit
+  /// must see the top-off patterns: the random-pattern-resistant faults
+  /// they target are exactly the ones a pseudo-random-only audit can never
+  /// check.
   std::vector<std::uint16_t> misr_fold;
   bool compact = true;           ///< reverse-order compaction of the top-off set
   bool verify_patterns = true;   ///< fault-sim check of every emitted pattern
@@ -129,9 +132,10 @@ struct MixedSchemeResult {
   double lfsr_seconds = 0.0;
   double podem_seconds = 0.0;
   double compact_seconds = 0.0;
-  /// Row-storage wall-clock (GF(2) reseeding solves or decoded-row fills +
-  /// fold audit + golden-signature simulation); a sub-measure of the phases
-  /// above, not additional time.
+  /// Row-storage wall-clock (GF(2) reseeding solves or decoded-row fills);
+  /// a sub-measure of the phases above, not additional time.  The MISR fold
+  /// audit and golden signatures run once for all points of a sweep and
+  /// are counted in MixedSweepStats only.
   double solve_seconds = 0.0;
   /// Anytime ladder position (Complete unless a deadline/cancel fired) and
   /// why a non-Complete state was reached.  For a Complete point `status`

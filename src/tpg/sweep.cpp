@@ -140,16 +140,19 @@ MisrSpec misr_for(const SimKernel& k, const MixedTpgOptions& opt) {
 /// `tail` holds the point's sim-fault indices ascending and `verdicts[i]`
 /// the PODEM outcome for tail[i].  Requires r.lfsr_result (plus the
 /// lfsr_patterns/lfsr_coverage fields) to be filled in already; completes
-/// every remaining field of r and adds the fill+verify wall-clock to
-/// r.podem_seconds and the compaction+accounting wall-clock to
-/// r.compact_seconds.
-void topoff_phases(const SimKernel& k, FaultSimulator& fsim,
-                   std::span<const std::uint32_t> tail,
-                   std::span<const PodemResult* const> verdicts,
-                   const MixedTpgOptions& opt, MixedSchemeResult& r) {
+/// every field of r except the MISR fold and golden signature (sign_off()
+/// sets those for every point after the point loop), and adds the
+/// fill+verify wall-clock to r.podem_seconds and the compaction+accounting
+/// wall-clock to r.compact_seconds.  Returns, per sim fault, the first
+/// detecting index within the point's applied stream (LFSR prefix, then the
+/// kept top-off set), -1 if undetected — what the fold audit signs off.
+std::vector<std::int64_t> topoff_phases(
+    const SimKernel& k, FaultSimulator& fsim,
+    std::span<const std::uint32_t> tail,
+    std::span<const PodemResult* const> verdicts, const MixedTpgOptions& opt,
+    MixedSchemeResult& r) {
   const auto t0 = WallClock::now();
   r.tail_faults = tail.size();
-  const std::size_t width = k.inputs().size();
   const std::uint64_t taps = Lfsr::primitive_taps(opt.lfsr_degree);
 
   // Turn the detected cubes into rows in tail order from a fresh fill
@@ -260,11 +263,8 @@ void topoff_phases(const SimKernel& k, FaultSimulator& fsim,
                 double(lr.total_weight)
           : 0.0;
 
-  // Row model: seed schedules renumbered to the kept rows and the fallback
-  // flags; with a MISR, also its audited fold and the golden signature over
-  // the exact applied stream (the LFSR phase the point claims, then the kept
-  // top-off set in application order).
-  const auto s1 = WallClock::now();
+  // Row model: seed schedules renumbered to the kept rows, the fallback
+  // flags and the MISR spec (fold and golden come from sign_off()).
   CompressedTopoff& c = r.comp;
   c.degree = opt.lfsr_degree;
   c.cut_outputs = k.outputs().size();
@@ -277,38 +277,18 @@ void topoff_phases(const SimKernel& k, FaultSimulator& fsim,
     }
   }
   c.misr = misr_for(k, opt);
-  if (c.misr.enabled()) {
-    // The point's exact applied stream, as one packed block sequence: the
-    // fold audit and the golden signature both walk it.
-    std::vector<BitVec> applied;
-    applied.reserve(r.lfsr_patterns + r.topoff.size());
-    Lfsr lfsr = Lfsr::maximal(opt.lfsr_degree, opt.lfsr_seed);
-    for (std::size_t t = 0; t < r.lfsr_patterns; ++t)
-      applied.push_back(lfsr.next_pattern(width));
-    applied.insert(applied.end(), r.topoff.begin(), r.topoff.end());
-    const std::vector<PatternBlock> blocks = pack_all(applied, width);
-
-    // Audited fold selection, per point, over everything this point's
-    // stream detects — the LFSR phase's faults plus the top-off accounting
-    // pass's (which alone sees the random-pattern-resistant faults whose
-    // bus-aligned output cones defeat the natural fold).
-    if (opt.misr_fold.empty() && !applied.empty()) {
-      std::vector<std::int64_t> fd(fsim.faults().size(), -1);
-      const std::vector<std::int64_t>& lfd = r.lfsr_result.first_detected;
-      for (std::size_t f = 0; f < fd.size(); ++f)
-        if (lfd[f] >= 0 && lfd[f] < std::int64_t(r.lfsr_patterns))
-          fd[f] = lfd[f];
-      for (std::size_t j = 0; j < topoff_fd.size(); ++j)
-        if (fd[tail[j]] < 0 && topoff_fd[j] >= 0)
-          fd[tail[j]] = std::int64_t(r.lfsr_patterns) + topoff_fd[j];
-      c.misr = choose_misr_fold(fsim, k, blocks, applied.size(), fd, c.misr);
-    }
-    c.golden = misr_signature(k, blocks, c.misr, 0);
-  }
-  solve += seconds_since(s1);
   c.solve_seconds = solve;
   r.solve_seconds = solve;
   r.compact_seconds += seconds_since(t1);
+
+  // Everything this point's stream detects: the LFSR phase's faults plus
+  // the top-off accounting pass's (which alone sees the random-pattern-
+  // resistant faults whose bus-aligned output cones defeat the natural fold).
+  std::vector<std::int64_t> detected = r.lfsr_result.first_detected;
+  for (std::size_t j = 0; j < topoff_fd.size(); ++j)
+    if (topoff_fd[j] >= 0)
+      detected[tail[j]] = std::int64_t(r.lfsr_patterns) + topoff_fd[j];
+  return detected;
 }
 
 /// Downgrade a result whose pseudo-random phase ran (possibly truncated) but
@@ -317,38 +297,78 @@ void topoff_phases(const SimKernel& k, FaultSimulator& fsim,
 /// top-off adds nothing), and marks the point LfsrOnly with `why` as the
 /// reason.  The result is a valid degraded hardware point — the coverage it
 /// claims is exactly what the pseudo-random phase proved.  It carries no
-/// rows; with a MISR it still gets its spec (fold audited against the
-/// prefix's detected faults, like a complete point) and the golden signature
-/// of the prefix stream that ran, so a degraded wrapper signs off exactly
-/// like a complete one.
-void finish_lfsr_only(const SimKernel& k, FaultSimulator& fsim,
-                      const MixedTpgOptions& opt, MixedSchemeResult& r,
-                      StageStatus why) {
+/// rows; with a MISR it still gets its spec, and sign_off() audits its fold
+/// against the prefix's detected faults and signs the prefix stream that
+/// ran, so a degraded wrapper signs off exactly like a complete one.
+void finish_lfsr_only(const SimKernel& k, const MixedTpgOptions& opt,
+                      MixedSchemeResult& r, StageStatus why) {
   const FaultSimResult& lr = r.lfsr_result;
   r.tail_faults = lr.sim_faults - lr.detected;
   r.final_coverage = r.lfsr_coverage;
   r.final_coverage_weighted = r.lfsr_coverage_weighted;
-  const auto s0 = WallClock::now();
   CompressedTopoff& c = r.comp;
   c.degree = opt.lfsr_degree;
   c.cut_outputs = k.outputs().size();
   c.misr = misr_for(k, opt);
-  if (c.misr.enabled()) {
-    Lfsr lfsr = Lfsr::maximal(opt.lfsr_degree, opt.lfsr_seed);
-    const std::vector<PatternBlock> blocks =
-        lfsr.blocks(k.inputs().size(), lr.patterns);
-    // Fold audit over the prefix's detected faults (the audit core skips
-    // first_detected entries at or beyond lr.patterns, so the prefix
-    // result's kept-later detections are excluded automatically).
-    if (opt.misr_fold.empty() && lr.patterns > 0)
-      c.misr = choose_misr_fold(fsim, k, blocks, lr.patterns,
-                                lr.first_detected, c.misr);
-    c.golden = misr_signature(k, blocks, c.misr, 0);
-  }
-  c.solve_seconds = seconds_since(s0);
-  r.solve_seconds = c.solve_seconds;
   r.state = PointState::LfsrOnly;
   r.status = std::move(why);
+}
+
+/// Golden signature of one point's applied stream: the first `prefix`
+/// patterns of the shared LFSR stream, then its top-off blocks.
+std::uint64_t golden_signature(const SimKernel& k,
+                               std::span<const PatternBlock> stream,
+                               std::size_t prefix,
+                               std::span<const PatternBlock> topoff,
+                               const MisrSpec& m) {
+  const std::size_t whole = prefix / 64;
+  std::uint64_t sig = misr_signature(k, stream.first(whole), m, 0);
+  if (prefix % 64) {
+    PatternBlock last = stream[whole];
+    last.count = prefix % 64;
+    sig = misr_signature(k, {&last, 1}, m, sig);
+  }
+  return misr_signature(k, topoff, m, sig);
+}
+
+/// MISR sign-off of every usable point, after the point loop: the audited
+/// fold choice for all of them at once (one forward pass over the shared
+/// LFSR stream, each point finalized at its prefix with its own top-off
+/// set), then each point's golden signature over its exact applied stream.
+/// `detected[i]` is points[i]'s per-fault first detection over that stream.
+void sign_off(const SimKernel& k, FaultSimulator& fsim,
+              const MixedTpgOptions& opt,
+              std::vector<MixedSchemeResult>& points,
+              const std::vector<std::vector<std::int64_t>>& detected) {
+  const MisrSpec base = misr_for(k, opt);
+  if (!base.enabled()) return;
+  const std::size_t width = k.inputs().size();
+  std::vector<std::size_t> usable;
+  std::vector<std::vector<PatternBlock>> topoff;
+  std::size_t lmax = 0;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    if (points[i].state == PointState::Skipped) continue;
+    usable.push_back(i);
+    topoff.push_back(pack_all(points[i].topoff, width));
+    lmax = std::max(lmax, points[i].lfsr_result.patterns);
+  }
+  Lfsr lfsr = Lfsr::maximal(opt.lfsr_degree, opt.lfsr_seed);
+  const std::vector<PatternBlock> stream = lfsr.blocks(width, lmax);
+  if (opt.misr_fold.empty()) {
+    std::vector<AuditPoint> audit;
+    for (std::size_t j = 0; j < usable.size(); ++j)
+      audit.push_back({points[usable[j]].lfsr_result.patterns, topoff[j],
+                       detected[usable[j]]});
+    const std::vector<MisrSpec> specs =
+        choose_misr_folds(fsim, k, stream, audit, base, opt.fsim.threads);
+    for (std::size_t j = 0; j < usable.size(); ++j)
+      points[usable[j]].comp.misr = specs[j];
+  }
+  for (std::size_t j = 0; j < usable.size(); ++j) {
+    MixedSchemeResult& r = points[usable[j]];
+    r.comp.golden = golden_signature(k, stream, r.lfsr_result.patterns,
+                                     topoff[j], r.comp.misr);
+  }
 }
 
 }  // namespace
@@ -403,6 +423,9 @@ MixedSweepResult run_mixed_sweep(const SimKernel& k, FaultSimulator& fsim,
 
   std::vector<MixedSchemeResult> by_order;
   by_order.reserve(order.size());
+  // Per point: first detection of every sim fault over its applied stream.
+  std::vector<std::vector<std::int64_t>> detected;
+  detected.reserve(order.size());
   for (const std::size_t len : order) {
     MixedSchemeResult r;
     r.lfsr_patterns = len;
@@ -420,11 +443,12 @@ MixedSweepResult run_mixed_sweep(const SimKernel& k, FaultSimulator& fsim,
         r.lfsr_result.status = StageStatus{};  // the prefix itself is exact
         r.lfsr_coverage = r.lfsr_result.final_coverage();
         r.lfsr_coverage_weighted = r.lfsr_result.final_coverage_weighted();
-        finish_lfsr_only(k, fsim, opt, r, why);
+        finish_lfsr_only(k, opt, r, why);
       } else {
         r.state = PointState::Skipped;
         r.status = why;
       }
+      detected.push_back(r.lfsr_result.first_detected);
       by_order.push_back(std::move(r));
       continue;
     }
@@ -464,16 +488,17 @@ MixedSweepResult run_mixed_sweep(const SimKernel& k, FaultSimulator& fsim,
     r.podem_seconds = seconds_since(t1);
     if (cut) {
       finish_lfsr_only(
-          k, fsim, opt, r,
+          k, opt, r,
           dl ? dl->stop_status("mixed_sweep")
              : StageStatus::cancelled("mixed_sweep: podem cancelled"));
+      detected.push_back(r.lfsr_result.first_detected);
       by_order.push_back(std::move(r));
       continue;
     }
 
     std::vector<const PodemResult*> vp(tail.size());
     for (std::size_t i = 0; i < tail.size(); ++i) vp[i] = &cache[tail[i]];
-    topoff_phases(k, fsim, tail, vp, opt, r);
+    detected.push_back(topoff_phases(k, fsim, tail, vp, opt, r));
     sr.stats.podem_seconds += r.podem_seconds;
     sr.stats.compact_seconds += r.compact_seconds;
     sr.stats.solve_seconds += r.solve_seconds;
@@ -505,8 +530,18 @@ MixedSweepResult run_mixed_sweep(const SimKernel& k, FaultSimulator& fsim,
     r.lfsr_seconds = seconds_since(t0);
     r.lfsr_coverage = r.lfsr_result.final_coverage();
     r.lfsr_coverage_weighted = r.lfsr_result.final_coverage_weighted();
-    finish_lfsr_only(k, fsim, opt, r, why);
+    finish_lfsr_only(k, opt, r, why);
+    detected.back() = r.lfsr_result.first_detected;
   }
+
+  // --- MISR sign-off: one fold audit for every point, then the goldens -----
+  // Its wall-clock is shared by all points, so it is attributed once, to the
+  // sweep's compaction and row-storage totals, not to any one point.
+  const auto t2 = WallClock::now();
+  sign_off(k, fsim, opt, by_order, detected);
+  const double sign_seconds = seconds_since(t2);
+  sr.stats.compact_seconds += sign_seconds;
+  sr.stats.solve_seconds += sign_seconds;
 
   // Sweep-level verdict: the first non-Complete point's reason (points
   // before it are bit-identical to an uninterrupted sweep).

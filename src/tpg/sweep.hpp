@@ -2,7 +2,7 @@
 // The mixed-scheme engine: evaluate the paper's central trade-off — LFSR
 // test length vs. stored deterministic patterns (ROM bits) — at one or more
 // candidate lengths for the cost of little more than one evaluation at the
-// longest.  A single length is a one-length sweep.  Three stacked
+// longest.  A single length is a one-length sweep.  Four stacked
 // optimizations over evaluating each length independently:
 //
 //   one LFSR pass      the fault simulator runs once, at max(lengths); a
@@ -23,6 +23,12 @@
 //                      cube is valid regardless of the LFSR phase — only
 //                      tail membership changes), making total PODEM work
 //                      equal to ONE run at min(lengths)
+//   one fold audit     after the point loop, the MISR sign-off audits every
+//                      point's fold in ONE forward pass over the shared
+//                      LFSR stream (choose_misr_folds: lazy candidates,
+//                      faults split over the fsim worker pool), each point
+//                      finalized at its length with its own top-off set,
+//                      then signs each point's exact applied stream
 //
 // Per-point X-fill, verification, compaction, and tail accounting still run
 // on the reused cubes (the fill stream replays per point, so the emitted
@@ -48,9 +54,11 @@ struct MixedSweepStats {
   unsigned podem_threads = 1;        ///< resolved PODEM worker count
   double lfsr_seconds = 0.0;     ///< the one shared max-length fault-sim pass
   double podem_seconds = 0.0;    ///< all points: generation + fill + verify
-  double compact_seconds = 0.0;  ///< all points: compaction + accounting
-  /// All points: row storage (reseeding solves or decoded-row fills, fold
-  /// audit, golden signature) — a sub-measure of the two above, not
+  /// All points: compaction + accounting, plus the shared MISR sign-off
+  /// (fold audit + golden signatures, run once after the point loop).
+  double compact_seconds = 0.0;
+  /// All points: row storage (reseeding solves or decoded-row fills) plus
+  /// the shared MISR sign-off — a sub-measure of the two above, not
   /// additional wall-clock.
   double solve_seconds = 0.0;
 };

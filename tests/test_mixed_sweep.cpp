@@ -1,8 +1,10 @@
 // Differential check of the mixed-scheme sweep engine: every point of a
 // multi-length sweep must be bit-identical to a one-length sweep at that
 // length — tail size, PODEM verdicts and counters, the emitted top-off
-// pattern sets before and after compaction, both coverage conventions, and
-// the derived LFSR-phase prefix (first_detected + coverage-curve doubles) —
+// pattern sets before and after compaction, both coverage conventions, the
+// row model with its audited MISR fold and golden signature (the sweep's
+// one-pass audit against a per-point one), and the derived LFSR-phase
+// prefix (first_detected + coverage-curve doubles) —
 // at every PODEM thread count in {1, 2, 8}, on the full ISCAS85 surrogate
 // family.  The one-length references run their own LFSR pass of exactly L,
 // so this also pins prefix_result against a pass of that length and the
@@ -11,7 +13,9 @@
 // fault-sim-verified against their targets, one verdict per tail fault,
 // 100% of the detectable faults covered, coverage monotone over the LFSR
 // phase, and compaction never growing the top-off set.  Also checks the
-// prefix/tail helpers directly.
+// prefix/tail helpers directly, and that the fault-sim thread count — which
+// also sizes the MISR fold audit's fault split — leaves every serialized
+// sweep byte unchanged, chosen folds and golden signatures included.
 
 #include <algorithm>
 #include <string>
@@ -19,7 +23,9 @@
 
 #include "circuits/iscas85_family.hpp"
 #include "fault/fault_sim.hpp"
+#include "pipeline/job.hpp"
 #include "sim/kernel.hpp"
+#include "store/serialize.hpp"
 #include "test_util.hpp"
 #include "tpg/lfsr.hpp"
 #include "tpg/sweep.hpp"
@@ -46,6 +52,20 @@ bool same_lfsr_result(const FaultSimResult& a, const FaultSimResult& b) {
   return ok;
 }
 
+// Row model and MISR sign-off: one fold audit over all points of a sweep
+// must choose and sign exactly as a one-length sweep's audit does.
+bool same_comp(const CompressedTopoff& a, const CompressedTopoff& b) {
+  bool ok = a.degree == b.degree && a.fallback == b.fallback &&
+            a.cut_outputs == b.cut_outputs && a.golden == b.golden &&
+            a.misr.degree == b.misr.degree && a.misr.taps == b.misr.taps &&
+            a.misr.fold == b.misr.fold && a.seeds.size() == b.seeds.size();
+  for (std::size_t i = 0; ok && i < a.seeds.size(); ++i)
+    ok = a.seeds[i].row == b.seeds[i].row &&
+         a.seeds[i].offset == b.seeds[i].offset &&
+         a.seeds[i].seed == b.seeds[i].seed;
+  return ok;
+}
+
 bool same_point(const MixedSchemeResult& a, const MixedSchemeResult& b) {
   bool ok = true;
   ok = ok && a.lfsr_patterns == b.lfsr_patterns;
@@ -65,6 +85,7 @@ bool same_point(const MixedSchemeResult& a, const MixedSchemeResult& b) {
   ok = ok && a.final_coverage == b.final_coverage;
   ok = ok && a.final_coverage_weighted == b.final_coverage_weighted;
   ok = ok && a.all_verified == b.all_verified;
+  ok = ok && same_comp(a.comp, b.comp);
   ok = ok && same_lfsr_result(a.lfsr_result, b.lfsr_result);
   return ok;
 }
@@ -112,9 +133,53 @@ void check_point(const std::string& name, const MixedSchemeResult& r) {
   }
 }
 
+// Serialized sweep with the wall-clock fields zeroed (strip_volatile) and
+// the one field that records the engine configuration itself — the LFSR
+// pass's resolved worker count — set equal.
+std::vector<std::uint8_t> sweep_bytes(MixedSweepResult sw) {
+  JobReport jr;
+  jr.sweep = std::move(sw);
+  strip_volatile(jr);
+  for (MixedSchemeResult& p : jr.sweep.points) p.lfsr_result.threads = 1;
+  return serialize_sweep(jr.sweep);
+}
+
+// The fold audit splits faults over the fault simulator's pool, so the sweep
+// must be byte-identical at every fsim thread count.  c499s's natural fold
+// is clean at every point; c880s's has escapes at every point, so there the
+// whole candidate family is evaluated and its escape counts reduced across
+// workers.
+void check_fsim_thread_invariance() {
+  for (const std::string name : {"c499s", "c880s"}) {
+    const Netlist n = make_iscas85(name);
+    const SimKernel k(n);
+    FaultSimulator fsim(k);
+    const std::vector<std::size_t> lengths{1280, 640, 2560};
+    MixedTpgOptions opt;
+    opt.podem.backtrack_limit = 20;
+    std::vector<std::uint8_t> ref;
+    for (const unsigned threads : {1u, 2u, 8u}) {
+      opt.fsim.threads = threads;
+      const MixedSweepResult sw = run_mixed_sweep(k, fsim, lengths, opt);
+      for (const MixedSchemeResult& p : sw.points) {
+        CHECK(p.state == PointState::Complete);
+        CHECK(p.comp.misr.enabled());
+        CHECK_EQ(p.comp.misr.fold.empty(), name == "c499s");
+      }
+      const std::vector<std::uint8_t> bytes = sweep_bytes(sw);
+      if (ref.empty())
+        ref = bytes;
+      else
+        CHECK(bytes == ref);
+    }
+  }
+}
+
 }  // namespace
 
 int main() {
+  check_fsim_thread_invariance();
+
   for (const std::string& name : iscas85_names()) {
     const Netlist n = make_iscas85(name);
     const SimKernel k(n);
