@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "sim/bitpar_sim.hpp"
 #include "tpg/lfsr.hpp"
@@ -22,6 +23,14 @@ std::uint64_t degree_mask(unsigned degree) {
 std::uint64_t raw_step(std::uint64_t s, unsigned degree, std::uint64_t taps) {
   const std::uint64_t fb = std::uint64_t(std::popcount(s & taps) & 1);
   return ((s << 1) | fb) & degree_mask(degree);
+}
+
+/// Throws unless `blk` is a well-formed block of `width` inputs holding at
+/// most 64 patterns.
+void check_block(const PatternBlock& blk, std::size_t width,
+                 const char* what) {
+  if (blk.count > 64 || blk.width != width || blk.input_words.size() != width)
+    throw std::invalid_argument(std::string(what) + ": malformed pattern block");
 }
 
 }  // namespace
@@ -59,6 +68,7 @@ std::uint64_t misr_signature(const SimKernel& cut,
   const auto outs = cut.outputs();
   KernelSim sim(cut);
   for (const PatternBlock& blk : blocks) {
+    check_block(blk, cut.inputs().size(), "misr_signature");
     sim.simulate(blk);
     for (std::size_t lane = 0; lane < blk.count; ++lane) {
       std::uint64_t inj = 0;
@@ -189,17 +199,35 @@ class AuditAlgebra {
   std::vector<Gf2Matrix> stage_;
 };
 
-/// Throws unless every point's detection span matches the fault list and
-/// `stream` covers its prefix.
-void check_points(const FaultSimulator& fsim,
+/// Throws unless every point's detection span matches the fault list, every
+/// top-off block is a well-formed non-empty block of the CUT's inputs, and
+/// `stream` covers the longest prefix with full blocks up to its last one
+/// (lane l of stream block b is cycle 64b + l).
+void check_points(const FaultSimulator& fsim, const SimKernel& cut,
                   std::span<const PatternBlock> stream,
                   std::span<const AuditPoint> points) {
+  const std::size_t width = cut.inputs().size();
+  std::size_t prefix = 0;
   for (const AuditPoint& p : points) {
     if (p.first_detected.size() != fsim.faults().size())
       throw std::invalid_argument(
           "misr fold audit: first_detected does not match the fault list");
-    if (stream.size() < (p.prefix + 63) / 64)
-      throw std::invalid_argument("misr fold audit: blocks short of stream");
+    for (const PatternBlock& b : p.topoff) {
+      check_block(b, width, "misr fold audit: top-off");
+      if (b.count == 0)
+        throw std::invalid_argument("misr fold audit: empty top-off block");
+    }
+    prefix = std::max(prefix, p.prefix);
+  }
+  const std::size_t blocks = (prefix + 63) / 64;
+  if (stream.size() < blocks)
+    throw std::invalid_argument("misr fold audit: blocks short of stream");
+  for (std::size_t b = 0; b < blocks; ++b) {
+    check_block(stream[b], width, "misr fold audit: stream");
+    const std::size_t need = std::min<std::size_t>(64, prefix - b * 64);
+    if (stream[b].count < (b + 1 < blocks ? 64 : need))
+      throw std::invalid_argument(
+          "misr fold audit: stream block short of its prefix");
   }
 }
 
@@ -211,12 +239,10 @@ struct PointAudit {
   std::size_t checked = 0;
 };
 
-/// Lanes [lo, hi) of a 64-lane word.
-std::uint64_t lane_range(unsigned lo, unsigned hi) {
-  const std::uint64_t upto = hi >= 64 ? ~std::uint64_t{0}
-                                      : (std::uint64_t{1} << hi) - 1;
-  return upto & ~((std::uint64_t{1} << lo) - 1);
-}
+/// The audit's pattern word: the fault simulator's widest word.
+constexpr unsigned kW = kMaxWordWidth;
+using Word = FlipWord;
+using GoodSim = WideSimT<kW>;
 
 /// The audit engine behind choose_misr_folds and misr_aliasing_check: one
 /// forward pass over `stream` accumulating every fault's per-output
@@ -224,14 +250,14 @@ std::uint64_t lane_range(unsigned lo, unsigned hi) {
 /// its audited faults' accumulators plus its own top-off blocks — with
 /// maps[0] evaluated first and the rest of `maps` only if it has escapes.
 /// The chosen map is the first clean one, otherwise the fewest escapes
-/// (first on ties).
+/// (first on ties).  Faults are propagated per FFR stem, one cone pass per
+/// stem and word of kW x 64 lanes (FaultSimulator::stem_flips).
 std::vector<PointAudit> audit_points(
     FaultSimulator& fsim, const SimKernel& cut,
     std::span<const PatternBlock> stream, std::span<const AuditPoint> points,
     const MisrSpec& m, std::span<const std::vector<std::uint16_t>> maps,
     unsigned threads) {
-  const std::span<const Fault> faults = fsim.faults();
-  const std::size_t n_faults = faults.size();
+  const std::size_t n_faults = fsim.faults().size();
   const std::size_t n_outs = cut.outputs().size();
 
   // Stream length per point, and per fault the stream window the pass must
@@ -239,12 +265,14 @@ std::vector<PointAudit> audit_points(
   // point that audits it.
   std::vector<std::size_t> length(points.size());
   std::size_t cycles = 0;
+  std::size_t max_prefix = 0;
   std::vector<std::int64_t> first(n_faults, -1);
   std::vector<std::size_t> until(n_faults, 0);
   for (std::size_t p = 0; p < points.size(); ++p) {
     length[p] = points[p].prefix;
     for (const PatternBlock& b : points[p].topoff) length[p] += b.count;
     cycles = std::max(cycles, length[p]);
+    max_prefix = std::max(max_prefix, points[p].prefix);
     for (std::size_t f = 0; f < n_faults; ++f) {
       const std::int64_t fd = points[p].first_detected[f];
       if (fd < 0 || fd >= std::int64_t(length[p])) continue;
@@ -252,86 +280,124 @@ std::vector<PointAudit> audit_points(
       until[f] = std::max(until[f], points[p].prefix);
     }
   }
-  std::vector<std::uint32_t> live;  // faults the stream pass propagates
+  stream = stream.first((max_prefix + 63) / 64);
+  // Accumulator rows of the faults the stream pass propagates (-1: none).
   std::vector<std::int64_t> row_of(n_faults, -1);
+  std::size_t rows = 0;
   for (std::size_t f = 0; f < n_faults; ++f)
-    if (first[f] >= 0 && std::size_t(first[f]) < until[f]) {
-      row_of[f] = std::int64_t(live.size());
-      live.push_back(static_cast<std::uint32_t>(f));
-    }
+    if (first[f] >= 0 && std::size_t(first[f]) < until[f])
+      row_of[f] = std::int64_t(rows++);
+  std::size_t max_group = 0;
+  for (std::size_t g = 0; g < fsim.stem_groups(); ++g)
+    max_group = std::max(max_group, fsim.stem_group(g).size());
 
   const AuditAlgebra alg(m.degree, m.taps, cycles);
   WorkerPool& pool = fsim.pool(threads);
   struct Worker {
     PropagationScratch scratch;
-    std::vector<std::uint64_t> diffs;
-    std::vector<Acc> row;
+    std::vector<std::uint32_t> members;  // faults of the stem in flight
+    std::vector<Acc*> rows;              // their accumulator rows
+    std::vector<Word> stem_words;
+    std::vector<Word> flips;       // per output
+    std::vector<std::uint32_t> hot;  // outputs with a flip
+    std::vector<Acc> own_rows;     // finalize: rebuilt rows of one stem
     std::vector<Acc> cls;
     std::vector<std::size_t> escapes;
   };
   std::vector<Worker> workers;
-  for (unsigned w = 0; w < pool.workers(); ++w)
-    workers.push_back({PropagationScratch(cut),
-                       std::vector<std::uint64_t>(n_outs),
-                       std::vector<Acc>(n_outs),
+  for (unsigned w = 0; w < pool.workers(); ++w) {
+    workers.push_back({PropagationScratch(cut), {}, {},
+                       std::vector<Word>(max_group),
+                       std::vector<Word>(n_outs), {},
+                       std::vector<Acc>(max_group * n_outs),
                        std::vector<Acc>(alg.degree()), {}});
-  constexpr std::size_t kGrain = 16;
+    workers.back().members.reserve(max_group);
+    workers.back().rows.reserve(max_group);
+    workers.back().hot.reserve(n_outs);
+  }
 
-  // Propagate fault f over one block of good values, adding each flipped
-  // output's weighted lanes (lane 0 at cycle `at`) into its row.
-  const auto add_block = [&](Worker& w, std::uint32_t f,
-                             std::span<const std::uint64_t> good,
-                             std::uint64_t lanes, std::size_t at, Acc* row) {
-    if (!fsim.output_diffs(faults[f], good, lanes, w.diffs, w.scratch)) return;
-    for (std::size_t o = 0; o < n_outs; ++o)
-      if (w.diffs[o]) row[o] ^= alg.weigh(w.diffs[o], at);
+  // Propagate w.members over one word of good values (sub-word j's lane 0
+  // at cycle at + 64j) and add each flipped output's weighted lanes into
+  // the members' rows.
+  const auto add_word = [&](Worker& w, const Word* good, const Word& lanes,
+                            std::size_t at) {
+    if (!fsim.stem_flips(w.members, good, lanes, w.stem_words.data(),
+                         w.flips.data(), w.scratch))
+      return;
+    w.hot.clear();
+    for (std::uint32_t o = 0; o < n_outs; ++o)
+      if (w_any(w.flips[o])) w.hot.push_back(o);
+    for (std::size_t i = 0; i < w.members.size(); ++i) {
+      if (!w_any(w.stem_words[i])) continue;
+      Acc* row = w.rows[i];
+      for (const std::uint32_t o : w.hot) {
+        const Word d = w.stem_words[i] & w.flips[o];
+        for (unsigned j = 0; j < kW; ++j)
+          if (const std::uint64_t dj = w_sub(d, j))
+            row[o] ^= alg.weigh(dj, at + 64 * j);
+      }
+    }
   };
 
-  std::vector<Acc> q(live.size() * n_outs, 0);
+  std::vector<Acc> q(rows * n_outs, 0);
   std::vector<PointAudit> out(points.size());
-  KernelSim good(cut);
-  std::size_t simulated = std::size_t(-1);  // stream block held by `good`
+  GoodSim good(cut);
+  std::size_t simulated = std::size_t(-1);  // first stream block in `good`
 
   const auto finalize = [&](std::size_t p) {
     const AuditPoint& pt = points[p];
-    std::vector<std::uint32_t> audited;
+    std::vector<char> audited(n_faults, 0);
     for (std::size_t f = 0; f < n_faults; ++f) {
       const std::int64_t fd = pt.first_detected[f];
-      if (fd >= 0 && fd < std::int64_t(length[p]))
-        audited.push_back(static_cast<std::uint32_t>(f));
+      audited[f] = fd >= 0 && fd < std::int64_t(length[p]);
+      out[p].checked += audited[f];
     }
-    out[p].checked = audited.size();
-    if (audited.empty()) return;
-    std::vector<std::vector<std::uint64_t>> topoff_good;
-    for (const PatternBlock& blk : pt.topoff) {
-      good.simulate(blk);
-      topoff_good.emplace_back(good.values().begin(), good.values().end());
+    if (out[p].checked == 0) return;
+    struct TopoffWord {
+      std::vector<Word> good;
+      Word lanes;
+      std::size_t at;
+    };
+    std::vector<TopoffWord> topoff;
+    for (std::size_t bi = 0, at = pt.prefix; bi < pt.topoff.size();) {
+      const std::size_t nb = GoodSim::group_size(pt.topoff, bi);
+      const std::span<const PatternBlock> grp = pt.topoff.subspan(bi, nb);
+      good.simulate(grp, &pool);
+      topoff.push_back({{good.values().begin(), good.values().end()},
+                        GoodSim::group_lane_mask(grp), at});
+      for (const PatternBlock& b : grp) at += b.count;
+      bi += nb;
     }
     simulated = std::size_t(-1);
 
-    // Escape counts of maps [mb, me).  Each worker rebuilds a fault's full
-    // row in its own buffer — the stream accumulators at this prefix plus
-    // the top-off blocks — so no per-point copy of the accumulators exists.
+    // Escape counts of maps [mb, me).  Each worker rebuilds a stem's full
+    // rows in its own buffer — the stream accumulators at this prefix plus
+    // the top-off words — so no per-point copy of the accumulators exists.
     const auto count = [&](std::size_t mb, std::size_t me) {
       for (Worker& w : workers) w.escapes.assign(me - mb, 0);
-      parallel_for(pool, audited.size(), kGrain,
+      parallel_for(pool, fsim.stem_groups(), 1,
                    [&](unsigned wid, std::size_t b, std::size_t e) {
         Worker& w = workers[wid];
-        for (std::size_t i = b; i < e; ++i) {
-          const std::uint32_t f = audited[i];
-          if (row_of[f] >= 0)
-            std::copy_n(q.data() + row_of[f] * n_outs, n_outs, w.row.data());
-          else
-            std::fill(w.row.begin(), w.row.end(), 0);
-          std::size_t at = pt.prefix;
-          for (std::size_t j = 0; j < topoff_good.size(); ++j) {
-            add_block(w, f, topoff_good[j], pt.topoff[j].lane_mask(), at,
-                      w.row.data());
-            at += pt.topoff[j].count;
+        for (std::size_t g = b; g < e; ++g) {
+          w.members.clear();
+          w.rows.clear();
+          for (const std::uint32_t f : fsim.stem_group(g)) {
+            if (!audited[f]) continue;
+            Acc* row = w.own_rows.data() + w.rows.size() * n_outs;
+            if (row_of[f] >= 0)
+              std::copy_n(q.data() + row_of[f] * n_outs, n_outs, row);
+            else
+              std::fill_n(row, n_outs, 0);
+            w.members.push_back(f);
+            w.rows.push_back(row);
           }
-          for (std::size_t mi = mb; mi < me; ++mi)
-            if (alg.fold(w.row.data(), maps[mi], w.cls.data()) == 0)
-              ++w.escapes[mi - mb];
+          if (w.members.empty()) continue;
+          for (const TopoffWord& t : topoff)
+            add_word(w, t.good.data(), t.lanes, t.at);
+          for (const Acc* row : w.rows)
+            for (std::size_t mi = mb; mi < me; ++mi)
+              if (alg.fold(row, maps[mi], w.cls.data()) == 0)
+                ++w.escapes[mi - mb];
         }
       });
       std::vector<std::size_t> total(me - mb, 0);
@@ -349,9 +415,11 @@ std::vector<PointAudit> audit_points(
       }
   };
 
-  // The forward pass: block by block, split at point prefixes; a point is
-  // finalized as soon as the pass has covered exactly its prefix.  Rows are
-  // disjoint per fault, so the split over workers cannot race.
+  // The forward pass: word by word (kW stream blocks, kW-aligned), split at
+  // point prefixes; a point is finalized as soon as the pass has covered
+  // exactly its prefix.  Per word, each stem group propagates the faults
+  // whose window meets the word's lanes.  Rows are disjoint per fault and
+  // stem groups disjoint per worker, so the split cannot race.
   std::vector<std::size_t> order(points.size());
   for (std::size_t p = 0; p < order.size(); ++p) order[p] = p;
   std::stable_sort(order.begin(), order.end(),
@@ -364,21 +432,30 @@ std::vector<PointAudit> audit_points(
     while (next < order.size() && points[order[next]].prefix == cur)
       finalize(order[next++]);
     if (next == order.size()) break;
-    const std::size_t b = cur / 64;
+    const std::size_t gb = cur / 64 / kW * kW;
+    const std::size_t nb = std::min<std::size_t>(kW, stream.size() - gb);
+    const std::size_t base = gb * 64;
     const std::size_t end =
-        std::min((b + 1) * 64, points[order[next]].prefix);
-    if (simulated != b) {
-      good.simulate(stream[b]);
-      simulated = b;
+        std::min(base + nb * 64, points[order[next]].prefix);
+    if (simulated != gb) {
+      good.simulate(stream.subspan(gb, nb), &pool);
+      simulated = gb;
     }
-    const std::uint64_t lanes = lane_range(cur % 64, end - b * 64);
-    parallel_for(pool, live.size(), kGrain,
-                 [&](unsigned wid, std::size_t lb, std::size_t le) {
-      for (std::size_t i = lb; i < le; ++i) {
-        const std::uint32_t f = live[i];
-        if (std::size_t(first[f]) < end && until[f] > cur)
-          add_block(workers[wid], f, good.values(), lanes, b * 64,
-                    q.data() + i * n_outs);
+    const Word lanes = w_lane_range<Word>(cur - base, end - base);
+    parallel_for(pool, fsim.stem_groups(), 1,
+                 [&](unsigned wid, std::size_t gb, std::size_t ge) {
+      Worker& w = workers[wid];
+      for (std::size_t g = gb; g < ge; ++g) {
+        w.members.clear();
+        w.rows.clear();
+        for (const std::uint32_t f : fsim.stem_group(g))
+          if (row_of[f] >= 0 && std::size_t(first[f]) < end &&
+              until[f] > cur) {
+            w.members.push_back(f);
+            w.rows.push_back(q.data() + row_of[f] * n_outs);
+          }
+        if (!w.members.empty())
+          add_word(w, good.values().data(), lanes, base);
       }
     });
     cur = end;
@@ -420,7 +497,7 @@ std::vector<AliasingReport> misr_aliasing_check(
     FaultSimulator& fsim, const SimKernel& cut,
     std::span<const PatternBlock> stream, std::span<const AuditPoint> points,
     const MisrSpec& m, unsigned threads) {
-  check_points(fsim, stream, points);
+  check_points(fsim, cut, stream, points);
   std::vector<AliasingReport> reps(points.size());
   for (AliasingReport& rep : reps) rep.bound = std::ldexp(1.0, -int(m.degree));
   if (!m.enabled()) return reps;
@@ -441,7 +518,7 @@ std::vector<MisrSpec> choose_misr_folds(FaultSimulator& fsim,
                                         std::span<const AuditPoint> points,
                                         const MisrSpec& base,
                                         unsigned threads) {
-  check_points(fsim, stream, points);
+  check_points(fsim, cut, stream, points);
   std::vector<MisrSpec> specs(points.size(), base);
   const std::size_t outs = cut.outputs().size();
   if (!base.enabled() || outs == 0) return specs;

@@ -56,7 +56,11 @@
 //                 fold alone first, the rest of the family only for points
 //                 where it has escapes.
 //
-// Faults are split over the FaultSimulator's worker pool, each worker with
+// Propagation is shared per FFR stem: the audited faults are bucketed by
+// the FaultSimulator's stem groups, and per bucket and word of
+// kMaxWordWidth x 64 lanes one cone propagation of the OR of the faults'
+// stem words yields per-output flip words (FaultSimulator::stem_flips).
+// Buckets are split over the FaultSimulator's worker pool, each worker with
 // its own propagation scratch; per-fault accumulators are XORs and escape
 // counts sums, so results are identical at every thread count.
 
@@ -67,7 +71,7 @@
 
 #include "fault/fault_sim.hpp"
 #include "sim/kernel.hpp"
-#include "sim/ternary_sim.hpp"
+#include "sim/ternary.hpp"
 #include "util/bitvec.hpp"
 #include "util/gf2.hpp"
 
@@ -126,7 +130,8 @@ std::uint64_t misr_step(const MisrSpec& m, std::uint64_t state,
 /// pattern stream (already packed into blocks; each block's `count` gives
 /// its live lanes), folding every cycle's outputs, starting from `state` —
 /// chainable, so LFSR phase and top-off phase compose without materializing
-/// one concatenated stream.
+/// one concatenated stream.  Throws std::invalid_argument on a block of
+/// more than 64 patterns or of the wrong input width.
 std::uint64_t misr_signature(const SimKernel& cut,
                              std::span<const PatternBlock> blocks,
                              const MisrSpec& m, std::uint64_t state = 0);
@@ -168,7 +173,10 @@ struct AuditPoint {
 /// separate top-off.  `threads` sizes fsim's worker pool (resolve_threads
 /// semantics); the reports are the same at every width.  Throws
 /// std::invalid_argument when a point's `first_detected` does not hold one
-/// entry per fault of `fsim` or `stream` is short of its prefix.
+/// entry per fault of `fsim`, a top-off block does not hold 1..64 patterns
+/// of the CUT's inputs, or `stream` is short of a prefix — every stream
+/// block below the longest prefix but the last must be full, since lane l
+/// of block b is cycle 64b + l.
 std::vector<AliasingReport> misr_aliasing_check(
     FaultSimulator& fsim, const SimKernel& cut,
     std::span<const PatternBlock> stream, std::span<const AuditPoint> points,

@@ -109,13 +109,13 @@ SimWord<W> local_stem_word(const SimKernel& k, const Fault& f,
 // (subset of `lanes`): returns the lanes on which the stem flip reaches a
 // primary output.  Lanes are independent in 2-valued simulation, so the
 // result is exact per lane even when `diff` ORs several faults' stem words.
-// With `po_diffs` (64-lane words only) it also writes each primary output's
-// flip lanes, in PO order.
+// With `po_diffs` it also writes each primary output's flip lanes, in PO
+// order.
 template <unsigned W>
 SimWord<W> propagate_stem(const SimKernel& k, KIndex stem, SimWord<W> diff,
                           const SimWord<W>* good, SimWord<W> lanes,
                           FfrScratch<W>& s, std::uint64_t* evals,
-                          std::uint64_t* po_diffs = nullptr) {
+                          SimWord<W>* po_diffs = nullptr) {
   using Word = SimWord<W>;
   const MicroOp* op = k.op_data();
   const std::uint64_t* inv = k.invert_data();
@@ -168,13 +168,12 @@ SimWord<W> propagate_stem(const SimKernel& k, KIndex stem, SimWord<W> diff,
     }
     q.clear();
   }
-  if constexpr (W == 1) {
-    if (po_diffs) {
-      const auto outs = k.outputs();
-      for (std::size_t i = 0; i < outs.size(); ++i) {
-        const KIndex o = outs[i];
-        po_diffs[i] = s.touched[o] ? (s.fval[o] ^ good[o]) & lanes : 0;
-      }
+  if (po_diffs) {
+    const auto outs = k.outputs();
+    for (std::size_t i = 0; i < outs.size(); ++i) {
+      const KIndex o = outs[i];
+      po_diffs[i] = s.touched[o] ? (s.fval[o] ^ good[o]) & lanes
+                                 : w_zero<Word>();
     }
   }
   for (const KIndex u : s.touched_list) s.touched[u] = 0;
@@ -184,7 +183,8 @@ SimWord<W> propagate_stem(const SimKernel& k, KIndex stem, SimWord<W> diff,
 
 }  // namespace
 
-struct PropagationScratch::Impl : FfrScratch<1> {};
+struct PropagationScratch::Impl : FfrScratch<kMaxWordWidth> {};
+struct FaultSimulator::DetectScratch : FfrScratch<1> {};
 
 PropagationScratch::PropagationScratch(const SimKernel& k)
     : impl_(std::make_unique<Impl>()) {
@@ -249,7 +249,9 @@ FaultSimResult FaultSimulator::prefix_result(const FaultSimResult& full,
   return r;
 }
 
-FaultSimulator::FaultSimulator(const SimKernel& k) : k_(&k), scratch_(k) {
+FaultSimulator::FaultSimulator(const SimKernel& k)
+    : k_(&k), scratch_(std::make_unique<DetectScratch>()) {
+  scratch_->init(k);
   const auto all = enumerate_faults(k.netlist());
   total_faults_ = all.size();
   CollapsedFaults c = collapse_faults_sized(k.netlist(), all);
@@ -264,7 +266,9 @@ FaultSimulator::FaultSimulator(const SimKernel& k, std::vector<Fault> faults,
                                std::size_t total_faults,
                                std::vector<std::uint32_t> weights)
     : k_(&k), faults_(std::move(faults)), weights_(std::move(weights)),
-      total_faults_(total_faults), scratch_(k) {
+      total_faults_(total_faults),
+      scratch_(std::make_unique<DetectScratch>()) {
+  scratch_->init(k);
   if (weights_.empty()) weights_.assign(faults_.size(), 1);
   if (weights_.size() != faults_.size())
     throw std::invalid_argument("FaultSimulator: weights/faults size mismatch");
@@ -309,9 +313,7 @@ void FaultSimulator::build_stem_groups() {
 
 std::uint64_t FaultSimulator::propagate_fault(const Fault& f,
                                               const std::uint64_t* good,
-                                              std::uint64_t lanes,
-                                              PropagationScratch& s,
-                                              std::uint64_t* po_diffs) const {
+                                              std::uint64_t lanes) {
   const KIndex site = k_->index_of(f.gate);
   const std::uint64_t stuck_word = f.stuck ? ~std::uint64_t{0} : 0;
   std::uint64_t evals = 0;
@@ -332,12 +334,28 @@ std::uint64_t FaultSimulator::propagate_fault(const Fault& f,
                            });
   }
   const std::uint64_t site_diff = (site_val ^ good[site]) & lanes;
-  if (!site_diff) {  // fault not activated by any lane
-    if (po_diffs) std::fill_n(po_diffs, k_->outputs().size(), 0);
-    return 0;
+  if (!site_diff) return 0;  // fault not activated by any lane
+  return propagate_stem<1>(*k_, site, site_diff, good, lanes, *scratch_,
+                           &evals);
+}
+
+bool FaultSimulator::stem_flips(std::span<const std::uint32_t> members,
+                                const FlipWord* good, FlipWord lanes,
+                                FlipWord* stem_words, FlipWord* po_flips,
+                                PropagationScratch& scratch) const {
+  constexpr unsigned W = kMaxWordWidth;
+  std::uint64_t evals = 0;
+  FlipWord any = w_zero<FlipWord>();
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    stem_words[i] =
+        local_stem_word<W>(*k_, faults_[members[i]], good, lanes, &evals);
+    any |= stem_words[i];
   }
-  return propagate_stem<1>(*k_, site, site_diff, good, lanes, *s.impl_,
-                           &evals, po_diffs);
+  if (!w_any(any)) return false;
+  const KIndex stem = k_->stem_of(k_->index_of(faults_[members[0]].gate));
+  propagate_stem<W>(*k_, stem, any, good, lanes, *scratch.impl_, &evals,
+                    po_flips);
+  return true;
 }
 
 void FaultSimulator::finalize_curves(FaultSimResult& r) const {

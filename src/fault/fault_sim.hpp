@@ -50,9 +50,14 @@ namespace bist {
 
 class WorkerPool;
 
+/// Pattern word of the stem-group primitive: the widest word compiled into
+/// this build (kMaxWordWidth x 64 lanes).
+using FlipWord = SimWord<kMaxWordWidth>;
+
 /// Caller-owned event-driven propagation scratch for
-/// FaultSimulator::output_diffs(): one per thread, sized for one kernel.
-/// Threads that each own one may call output_diffs() concurrently.
+/// FaultSimulator::stem_flips(): one per thread, sized for one kernel, at
+/// the FlipWord width.  Threads that each own one may call stem_flips()
+/// concurrently.
 class PropagationScratch {
  public:
   explicit PropagationScratch(const SimKernel& k);
@@ -177,35 +182,44 @@ class FaultSimulator {
   std::uint64_t detect_lanes(const Fault& f,
                              std::span<const std::uint64_t> good_values,
                              std::uint64_t lane_mask) {
-    return propagate_fault(f, good_values.data(), lane_mask, scratch_,
-                           nullptr);
+    return propagate_fault(f, good_values.data(), lane_mask);
   }
 
-  /// detect_lanes plus the per-primary-output difference words: diffs[i]
-  /// (PO order, size >= output count) gets the lanes on which fault f flips
-  /// output i.  Building block of the MISR aliasing audit (bist/compress),
-  /// which needs *where* a fault is observed, not just whether.  All mutable
-  /// state lives in `scratch`, so concurrent calls with distinct scratch
-  /// objects are safe.
-  std::uint64_t output_diffs(const Fault& f,
-                             std::span<const std::uint64_t> good_values,
-                             std::uint64_t lane_mask,
-                             std::span<std::uint64_t> diffs,
-                             PropagationScratch& scratch) const {
-    return propagate_fault(f, good_values.data(), lane_mask, scratch,
-                           diffs.data());
+  /// The static stem grouping of the fault list: group g holds the
+  /// sim-fault indices (list order) whose sites share one FFR stem root.
+  std::size_t stem_groups() const { return group_stem_.size(); }
+  std::span<const std::uint32_t> stem_group(std::size_t g) const {
+    return {group_faults_.data() + group_offset_[g],
+            group_faults_.data() + group_offset_[g + 1]};
   }
+
+  /// Where a set of faults sharing one FFR stem is observed, over one word
+  /// of good values (`good`: a WideSimT<kMaxWordWidth> values() array,
+  /// kernel-index space).  `members` are sim-fault indices from one
+  /// stem_group().  stem_words[i] gets the lanes (within `lanes`) on which
+  /// members[i] flips the stem.  When any lane does, ONE event-driven
+  /// propagation of the OR of those words writes po_flips[o] (PO order,
+  /// size >= output count) = the lanes on which the stem flip reaches
+  /// output o, and the call returns true; otherwise it returns false and
+  /// leaves po_flips alone.  Lanes are independent and primary outputs are
+  /// stems, so members[i] flips output o on exactly stem_words[i] &
+  /// po_flips[o].  Building block of the MISR aliasing audit
+  /// (bist/compress), which needs *where* a fault is observed, not just
+  /// whether.  All mutable state lives in `scratch`, so concurrent calls
+  /// with distinct scratch objects are safe.
+  bool stem_flips(std::span<const std::uint32_t> members,
+                  const FlipWord* good, FlipWord lanes, FlipWord* stem_words,
+                  FlipWord* po_flips, PropagationScratch& scratch) const;
 
   /// The simulator's persistent worker pool at `threads` workers
   /// (resolve_threads semantics; rebuilt only when the width changes).
-  /// run() splits stem groups over it; the aliasing audit splits faults
-  /// over it.  Not reentrant: one parallel region at a time.
+  /// run() and the aliasing audit split stem groups over it.  Not
+  /// reentrant: one parallel region at a time.
   WorkerPool& pool(unsigned threads);
 
  private:
   std::uint64_t propagate_fault(const Fault& f, const std::uint64_t* good,
-                                std::uint64_t lanes, PropagationScratch& s,
-                                std::uint64_t* po_diffs) const;
+                                std::uint64_t lanes);
   void build_stem_groups();
   template <unsigned W>
   FaultSimResult run_ffr(std::span<const PatternBlock> blocks,
@@ -230,8 +244,9 @@ class FaultSimulator {
   // worker count changes), so repeated runs don't pay thread spawn cost.
   std::unique_ptr<WorkerPool> pool_;
 
-  // Propagation scratch behind detect_lanes().
-  PropagationScratch scratch_;
+  // 64-lane propagation scratch behind detect_lanes().
+  struct DetectScratch;
+  std::unique_ptr<DetectScratch> scratch_;
 };
 
 }  // namespace bist

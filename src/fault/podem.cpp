@@ -23,8 +23,16 @@ std::string_view podem_status_name(PodemStatus s) {
   return "?";
 }
 
-Podem::Podem(const SimKernel& k)
-    : k_(&k), good_(k), faulty_(k) {
+Podem::Podem(const SimKernel& k) : k_(&k) {
+  // All-X start state: constants resolved, everything they reach settled.
+  // Kernel order is level order, so one forward sweep is a full evaluation.
+  gv_.assign(k.gate_count(), Ternary::VX);
+  for (KIndex u = 0; u < k.gate_count(); ++u)
+    if (k.type(u) != GateType::Input) gv_[u] = eval_good(u);
+  x_state_ = gv_;
+  fv_.assign(k.gate_count(), Ternary::VX);
+  level_queues_.resize(k.max_level() + 1);
+  queued_.assign(k.gate_count(), 0);
   pi_ordinal_.assign(k.gate_count(), ~0u);
   for (std::uint32_t i = 0; i < k.inputs().size(); ++i)
     pi_ordinal_[k.inputs()[i]] = i;
@@ -56,10 +64,66 @@ void Podem::build_cone(KIndex site) {
   std::sort(cone_.begin(), cone_.end());  // ascending == level order
 }
 
+Ternary Podem::eval_good(KIndex u) const {
+  const std::uint32_t* off = k_->fanin_offset_data();
+  const KIndex* fi = k_->fanin_data();
+  const std::uint32_t b = off[u];
+  return eval_ternary(k_->type(u), off[u + 1] - b,
+                      [&](std::size_t i) { return gv_[fi[b + i]]; });
+}
+
+Ternary Podem::eval_faulty(KIndex u) const {
+  if (u == site_ && !branch_fault_) return stuck_t_;
+  const std::uint32_t* off = k_->fanin_offset_data();
+  const KIndex* fi = k_->fanin_data();
+  const std::uint32_t b = off[u];
+  const std::size_t pin =
+      u == site_ ? static_cast<std::size_t>(branch_pin_) : ~std::size_t{0};
+  return eval_ternary(k_->type(u), off[u + 1] - b, [&](std::size_t i) {
+    return i == pin ? stuck_t_ : fval(fi[b + i]);
+  });
+}
+
+void Podem::assign(std::uint32_t idx, Ternary v) {
+  // Levelized event propagation from the PI: every gate is evaluated at
+  // most once, in strictly increasing level order, the faulty machine only
+  // on the cone.  A PI is in the cone only as a stem-fault site, whose
+  // faulty value is the stuck value whatever the assignment.
+  const KIndex root = k_->inputs()[idx];
+  if (gv_[root] == v) return;
+  gv_[root] = v;
+  const std::uint32_t* lvl = k_->level_data();
+  const auto schedule_fanouts = [&](KIndex g) {
+    for (const KIndex f : k_->fanouts(g))
+      if (!queued_[f]) {
+        queued_[f] = 1;
+        level_queues_[lvl[f]].push_back(f);
+      }
+  };
+  schedule_fanouts(root);
+  for (unsigned lv = lvl[root] + 1; lv <= k_->max_level(); ++lv) {
+    auto& q = level_queues_[lv];
+    for (std::size_t i = 0; i < q.size(); ++i) {
+      const KIndex u = q[i];
+      queued_[u] = 0;
+      const Ternary g = eval_good(u);
+      bool changed = g != gv_[u];
+      gv_[u] = g;
+      if (in_cone_[u]) {
+        const Ternary f = eval_faulty(u);
+        changed |= f != fv_[u];
+        fv_[u] = f;
+      }
+      if (changed) schedule_fanouts(u);
+    }
+    q.clear();
+  }
+}
+
 bool Podem::detected() const {
   for (KIndex o : k_->outputs()) {
-    const Ternary g = good_.value_at(o);
-    const Ternary f = faulty_.value_at(o);
+    const Ternary g = gv_[o];
+    const Ternary f = fval(o);
     if (is_binary(g) && is_binary(f) && g != f) return true;
   }
   return false;
@@ -75,7 +139,7 @@ bool Podem::x_path_ok() {
   for (auto it = cone_.rbegin(); it != cone_.rend(); ++it) {
     const KIndex u = *it;
     bool r = false;
-    if (good_.value_at(u) == Ternary::VX || faulty_.value_at(u) == Ternary::VX) {
+    if (gv_[u] == Ternary::VX || fval(u) == Ternary::VX) {
       if (k_->is_output(u)) {
         r = true;
       } else {
@@ -87,8 +151,8 @@ bool Podem::x_path_ok() {
   }
   if (reach_[site_]) return true;  // fault effect can still materialize here
   for (KIndex u : cone_) {
-    const Ternary g = good_.value_at(u);
-    const Ternary f = faulty_.value_at(u);
+    const Ternary g = gv_[u];
+    const Ternary f = fval(u);
     if (!(is_binary(g) && is_binary(f) && g != f)) continue;  // not a D signal
     if (k_->is_output(u)) return true;  // detected, caller handles first
     for (KIndex fo : k_->fanouts(u))
@@ -100,7 +164,7 @@ bool Podem::x_path_ok() {
 bool Podem::objective(KIndex* gate, Ternary* v) const {
   // Phase 1: activate the fault — drive the faulted line to the opposite of
   // its stuck value.
-  if (good_.value_at(line_) == Ternary::VX) {
+  if (gv_[line_] == Ternary::VX) {
     *gate = line_;
     *v = stuck_t_ == Ternary::V0 ? Ternary::V1 : Ternary::V0;
     return true;
@@ -112,13 +176,13 @@ bool Podem::objective(KIndex* gate, Ternary* v) const {
   // propagation path needs the fewest side-input justifications.
   KIndex best = kNoGate;
   for (const KIndex u : cone_) {
-    if (is_binary(good_.value_at(u)) && is_binary(faulty_.value_at(u)))
+    if (is_binary(gv_[u]) && is_binary(fval(u)))
       continue;
     bool frontier = branch_fault_ && u == site_;
     if (!frontier) {
       for (KIndex w : k_->fanins(u)) {
-        const Ternary g = good_.value_at(w);
-        const Ternary f = faulty_.value_at(w);
+        const Ternary g = gv_[w];
+        const Ternary f = fval(w);
         if (is_binary(g) && is_binary(f) && g != f) { frontier = true; break; }
       }
     }
@@ -145,8 +209,8 @@ KIndex Podem::pick_x_fanin(KIndex g, bool easiest) const {
   KIndex pick = kNoGate;
   bool pick_good = false;
   for (KIndex w : k_->fanins(g)) {
-    const bool gx = good_.value_at(w) == Ternary::VX;
-    const bool fx = faulty_.value_at(w) == Ternary::VX;
+    const bool gx = gv_[w] == Ternary::VX;
+    const bool fx = fval(w) == Ternary::VX;
     if (!gx && !fx) continue;
     if (pick == kNoGate || (gx && !pick_good) ||
         (gx == pick_good &&
@@ -179,7 +243,7 @@ void Podem::backtrace(KIndex g, Ternary v, std::uint32_t* pi_idx,
       if (next == kNoGate)
         throw std::logic_error("Podem::backtrace: no X fanin on the walk");
       for (KIndex w : k_->fanins(g))
-        if (w != next && good_.value_at(w) == Ternary::V1) parity = !parity;
+        if (w != next && gv_[w] == Ternary::V1) parity = !parity;
       if (parity) v = t_not(v);
     } else {
       if (inv) v = t_not(v);
@@ -210,7 +274,7 @@ bool Podem::search() {
     return false;
   }
   if (detected()) return true;
-  const Ternary lg = good_.value_at(line_);
+  const Ternary lg = gv_[line_];
   if (lg == stuck_t_) return false;  // activation impossible under this cube
   if (!x_path_ok()) return false;    // every propagation path is dead
   KIndex og;
@@ -221,41 +285,35 @@ bool Podem::search() {
   backtrace(og, ov, &idx, &v);
 
   ++decisions_;
-  good_.set_input(idx, v);
-  faulty_.set_input(idx, v);
+  assign(idx, v);
   if (search()) return true;
   if (!aborted_ && ++backtracks_ > limit_) aborted_ = true;
   if (aborted_) {
-    good_.set_input(idx, Ternary::VX);
-    faulty_.set_input(idx, Ternary::VX);
+    assign(idx, Ternary::VX);
     return false;
   }
-  v = t_not(v);
-  good_.set_input(idx, v);
-  faulty_.set_input(idx, v);
+  assign(idx, t_not(v));
   if (search()) return true;
-  good_.set_input(idx, Ternary::VX);
-  faulty_.set_input(idx, Ternary::VX);
+  assign(idx, Ternary::VX);
   return false;
 }
 
 PodemResult Podem::generate(const Fault& f, const PodemOptions& opt) {
-  good_.reset();
-  faulty_.reset();
-
   site_ = k_->index_of(f.gate);
   branch_fault_ = !f.is_output_fault();
   stuck_t_ = f.stuck ? Ternary::V1 : Ternary::V0;
   if (branch_fault_) {
     if (static_cast<std::size_t>(f.pin) >= k_->fanins(site_).size())
       throw std::out_of_range("Podem::generate: fault pin out of range");
+    branch_pin_ = static_cast<unsigned>(f.pin);
     line_ = k_->fanins(site_)[f.pin];
-    faulty_.force_pin(f.gate, static_cast<unsigned>(f.pin), stuck_t_);
   } else {
     line_ = site_;
-    faulty_.force(f.gate, stuck_t_);
   }
   build_cone(site_);
+  // Every PI at X; the faulty machine settled over the cone in level order.
+  gv_ = x_state_;
+  for (const KIndex u : cone_) fv_[u] = eval_faulty(u);
 
   backtracks_ = 0;
   decisions_ = 0;
@@ -272,17 +330,12 @@ PodemResult Podem::generate(const Fault& f, const PodemOptions& opt) {
     r.status = PodemStatus::Detected;
     r.cube.resize(k_->inputs().size());
     for (std::size_t i = 0; i < r.cube.size(); ++i)
-      r.cube[i] = good_.value_at(k_->inputs()[i]);
+      r.cube[i] = gv_[k_->inputs()[i]];
   } else if (cancelled_) {
     r.status = PodemStatus::Cancelled;  // no verdict: the search was cut off
   } else {
     r.status = aborted_ ? PodemStatus::Aborted : PodemStatus::Redundant;
   }
-
-  if (branch_fault_)
-    faulty_.unforce_pin(f.gate, static_cast<unsigned>(f.pin));
-  else
-    faulty_.unforce(f.gate);
   return r;
 }
 

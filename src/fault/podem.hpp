@@ -1,9 +1,12 @@
 #pragma once
 // PODEM (path-oriented decision making) deterministic test generation for
 // single stuck-at faults — the generator behind the mixed scheme's top-off
-// phase.  Two TernarySims run in lock-step over a shared SimKernel: the good
-// machine carries the fault-free circuit, the faulty machine has the fault
-// injected (stem faults via force(), fanout-branch faults via force_pin()).
+// phase.  One levelized, event-driven ternary implication pass over a shared
+// SimKernel carries both machines: the good value of every gate, and the
+// faulty value only inside the fault's transitive fanout cone — outside it
+// the faulty machine equals the good one, so it is never evaluated there.
+// The stuck value is applied in the faulty evaluation of the fault site (the
+// site's output for a stem fault, its faulted fanin pin for a branch fault).
 // A signal whose (good, faulty) pair is (1,0) carries D, (0,1) carries D-bar;
 // a test is found when some primary output pair differs on binary values.
 //
@@ -25,7 +28,7 @@
 
 #include "fault/fault.hpp"
 #include "sim/kernel.hpp"
-#include "sim/ternary_sim.hpp"
+#include "sim/ternary.hpp"
 #include "util/deadline.hpp"
 
 namespace bist {
@@ -69,10 +72,10 @@ struct PodemResult {
 /// The kernel must outlive the engine.
 ///
 /// Reuse contract (what lets pooled workers hold one engine each): generate()
-/// starts by resetting both lock-step simulators and every per-fault field,
-/// and removes its fault injection before returning, so the result of a call
-/// depends only on (kernel, fault, options) — never on the faults generated
-/// before it.  The engine carries no RNG; the search is fully deterministic.
+/// starts from the engine's all-X state (computed once, at construction) and
+/// resets every per-fault field, so the result of a call depends only on
+/// (kernel, fault, options) — never on the faults generated before it.  The
+/// engine carries no RNG; the search is fully deterministic.
 class Podem {
  public:
   explicit Podem(const SimKernel& k);
@@ -80,6 +83,13 @@ class Podem {
   PodemResult generate(const Fault& f, const PodemOptions& opt = {});
 
  private:
+  /// Faulty-machine value: its own inside the fault cone, the good value
+  /// outside it.
+  Ternary fval(KIndex u) const { return in_cone_[u] ? fv_[u] : gv_[u]; }
+  Ternary eval_good(KIndex u) const;
+  Ternary eval_faulty(KIndex u) const;
+  /// Assign PI `idx` (VX = unassign) and propagate both machines.
+  void assign(std::uint32_t idx, Ternary v);
   bool detected() const;
   bool x_path_ok();
   bool objective(KIndex* gate, Ternary* v) const;
@@ -89,7 +99,11 @@ class Podem {
   void build_cone(KIndex site);
 
   const SimKernel* k_;
-  TernarySim good_, faulty_;
+  std::vector<Ternary> x_state_;  // good values with every PI at X
+  std::vector<Ternary> gv_;       // good machine, every gate
+  std::vector<Ternary> fv_;       // faulty machine, valid on cone_ only
+  std::vector<std::vector<KIndex>> level_queues_;  // event scratch
+  std::vector<char> queued_;
   std::vector<std::uint32_t> pi_ordinal_;  // kernel idx -> PI index, ~0 if not PI
   std::vector<std::uint32_t> po_dist_;     // min fanout hops to a primary output
 
@@ -97,6 +111,7 @@ class Podem {
   KIndex site_ = 0;              // fault site gate
   KIndex line_ = 0;              // faulted line's driving signal
   bool branch_fault_ = false;
+  unsigned branch_pin_ = 0;      // faulted fanin slot of site_ (branch fault)
   Ternary stuck_t_ = Ternary::V0;
   std::vector<KIndex> cone_;     // transitive fanout of site_ incl site_, ascending
   std::vector<char> in_cone_;
@@ -109,8 +124,8 @@ class Podem {
   const Deadline* deadline_ = nullptr;
 };
 
-/// Parallel PODEM: one persistent engine (its own good/faulty TernarySim
-/// pair) per worker of an owned WorkerPool, reused across generate() calls —
+/// Parallel PODEM: one persistent engine (its own implication state) per
+/// worker of an owned WorkerPool, reused across generate() calls —
 /// the construction cost (pool threads + per-engine kernel-sized scratch) is
 /// paid once per batch object, which is what a sweep over many candidate
 /// LFSR lengths needs.

@@ -17,6 +17,8 @@
 //   w_zero<Word>()   all-zero word
 //   w_broadcast<Word>(m)  every sub-word = m (invert masks are 0 or ~0)
 //   w_first_lane(x)  index of the lowest set lane (x must be non-zero)
+//   w_sub(x, j)      sub-word j (lanes j*64 .. j*64+63)
+//   w_lane_range<Word>(lo, hi)  lanes [lo, hi) set
 //
 // Lane L of sub-word j is pattern lane j*64 + L; pattern blocks are grouped
 // so that lane index == pattern offset within the group (see WideSimT).
@@ -25,7 +27,9 @@
 // with it off the engines clamp every width request to 1 and no wide code is
 // compiled.
 
+#include <algorithm>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <type_traits>
 
@@ -101,6 +105,31 @@ inline unsigned w_first_lane(const WideWord<W>& v) {
   for (unsigned i = 0; i < W; ++i)
     if (v.w[i]) return i * 64 + static_cast<unsigned>(std::countr_zero(v.w[i]));
   return W * 64;  // unreachable under the precondition
+}
+
+/// Sub-word j (lanes j*64 .. j*64+63); the word itself at W=1.
+inline std::uint64_t w_sub(std::uint64_t v, unsigned) { return v; }
+template <unsigned W>
+inline std::uint64_t w_sub(const WideWord<W>& v, unsigned j) {
+  return v.w[j];
+}
+
+/// Word with lanes [lo, hi) set (lanes past the word's width are ignored).
+template <class Word>
+inline Word w_lane_range(std::size_t lo, std::size_t hi) {
+  const auto sub = [&](std::size_t j) -> std::uint64_t {
+    const std::size_t b = lo < 64 * j ? 64 * j : std::min(lo, 64 * j + 64);
+    const std::size_t e = hi < b ? b : std::min(hi, 64 * j + 64);
+    return e == b ? 0 : (~std::uint64_t{0} >> (64 - (e - b))) << (b - 64 * j);
+  };
+  if constexpr (std::is_same_v<Word, std::uint64_t>) {
+    return sub(0);
+  } else {
+    Word r;
+    for (std::size_t j = 0; j < sizeof(r.w) / sizeof(r.w[0]); ++j)
+      r.w[j] = sub(j);
+    return r;
+  }
 }
 
 /// Widest word width compiled into this build (in 64-lane units).

@@ -18,7 +18,7 @@
 #include "netlist/builder.hpp"
 #include "sim/bitpar_sim.hpp"
 #include "sim/kernel.hpp"
-#include "sim/ternary_sim.hpp"
+#include "ternary_sim.hpp"
 #include "test_util.hpp"
 #include "tpg/lfsr.hpp"
 #include "util/rng.hpp"
@@ -383,40 +383,66 @@ void test_audit_matches_oracle() {
 }
 
 void test_shared_prefix_points() {
-  // Points over one stream's prefixes, some with their own top-off sets
-  // (two starting mid-block): one multi-point misr_aliasing_check per
-  // candidate must reproduce the oracle's escape count over each point's
-  // concatenated applied stream, and one choose_misr_folds call must pick
-  // what those counts select.  At small MISR degrees most escapes are
-  // temporal cancellations, so the counts hinge on every top-off cycle's
-  // exact weight.
+  // Points over one stream's prefixes, some with their own top-off sets:
+  // one multi-point misr_aliasing_check per candidate must reproduce the
+  // oracle's escape count over each point's concatenated applied stream,
+  // and one choose_misr_folds call must pick what those counts select.  At
+  // small MISR degrees most escapes are temporal cancellations, so the
+  // counts hinge on every cycle's exact weight.  The audit propagates each
+  // FFR stem once per word of kMaxWordWidth x 64 lanes, so prefixes end
+  // mid-block (64k+r) and mid-word, top-off sets span 1 to 5 blocks — one
+  // with partial blocks in the middle — and two points audit only every
+  // other fault of each stem group.
   const Netlist cut = make_aliasing_cut();
   const SimKernel k(cut);
   const std::size_t w = cut.input_count();
-  const std::vector<BitVec> stream = lfsr_patterns(5, w, 256);
+  const std::vector<BitVec> stream = lfsr_patterns(5, w, 700);
   const std::vector<PatternBlock> stream_blocks = pack_all(stream, w);
   FaultSimulator fsim(k);
 
   struct Case {
     std::size_t prefix;
-    std::size_t topoff;
+    std::vector<std::size_t> topoff;  // packed piece by piece
+    bool partial = false;  // audit every other fault of each stem group
   };
-  const Case cases[] = {{100, 70}, {256, 0}, {64, 10}, {0, 5}, {0, 0},
-                        {37, 91}};
+  const Case cases[] = {{100, {70}},  {256, {}},    {64, {10}},
+                        {0, {5}},     {0, {}},      {37, {91}},
+                        {130, {64}},  {300, {300}}, {512, {129}},
+                        {449, {250}}, {700, {65}},  {300, {20}, true},
+                        {193, {}, true},            {0, {257}},
+                        {260, {64, 30, 64, 10, 5}}};
   std::vector<std::vector<PatternBlock>> topoff_blocks;
   std::vector<std::vector<std::int64_t>> detected;
   std::vector<SignatureOracle> oracles;
   for (const Case& c : cases) {
-    std::vector<BitVec> top = lfsr_patterns(11 + c.topoff, w, c.topoff);
     std::vector<BitVec> all(stream.begin(), stream.begin() + c.prefix);
-    all.insert(all.end(), top.begin(), top.end());
-    topoff_blocks.push_back(pack_all(top, w));
-    detected.push_back(fsim.run(pack_all(all, w)).first_detected);
+    std::vector<PatternBlock> blocks;
+    for (const std::size_t n : c.topoff) {
+      const std::vector<BitVec> top = lfsr_patterns(11 + n, w, n);
+      all.insert(all.end(), top.begin(), top.end());
+      for (PatternBlock& b : pack_all(top, w)) blocks.push_back(std::move(b));
+    }
+    topoff_blocks.push_back(std::move(blocks));
+    std::vector<std::int64_t> fd = fsim.run(pack_all(all, w)).first_detected;
+    if (c.partial)
+      for (std::size_t g = 0; g < fsim.stem_groups(); ++g) {
+        const std::span<const std::uint32_t> grp = fsim.stem_group(g);
+        for (std::size_t i = 1; i < grp.size(); i += 2) fd[grp[i]] = -1;
+      }
+    detected.push_back(std::move(fd));
     oracles.emplace_back(cut, k, fsim, detected.back(), all);
   }
   std::vector<AuditPoint> points;
   for (std::size_t p = 0; p < oracles.size(); ++p)
     points.push_back({cases[p].prefix, topoff_blocks[p], detected[p]});
+  CHECK_EQ(topoff_blocks[7].size(), std::size_t{5});
+  CHECK_EQ(topoff_blocks[14].size(), std::size_t{5});
+  std::size_t dropped = 0;  // audited faults' stem-mates left out
+  for (std::size_t g = 0; g < fsim.stem_groups(); ++g) {
+    const std::span<const std::uint32_t> grp = fsim.stem_group(g);
+    if (grp.size() > 1 && detected[11][grp[0]] >= 0) dropped += grp.size() / 2;
+  }
+  CHECK(dropped > 0);
 
   for (const unsigned degree : {24u, 4u, 3u}) {
     const MisrSpec base = misr_of_degree(degree);
@@ -434,7 +460,7 @@ void test_shared_prefix_points() {
       expect.push_back(choice == 0 ? std::vector<std::uint16_t>{}
                                    : maps[choice]);
     }
-    for (const unsigned threads : {1u, 2u}) {
+    for (const unsigned threads : {1u, 2u, 3u}) {
       for (std::size_t mi = 0; mi < maps.size(); ++mi) {
         MisrSpec m = base;
         m.fold = maps[mi];
@@ -491,6 +517,62 @@ void test_audit_rejects_malformed_arguments() {
       [&] { misr_aliasing_check(fsim, k, blocks, {&pt, 1}, m); }));
   CHECK_EQ(check_one(fsim, k, blocks, 128, m, fd).detected_checked,
            fr.detected);
+
+  // Top-off blocks must hold 1..64 patterns of exactly the CUT's inputs.
+  const auto rejects_topoff = [&](const PatternBlock& bad) {
+    const std::vector<PatternBlock> top{blocks[0], bad};
+    const AuditPoint p{64, top, fd};
+    return throws_invalid_argument(
+               [&] { misr_aliasing_check(fsim, k, blocks, {&p, 1}, m); }) &&
+           throws_invalid_argument(
+               [&] { choose_misr_folds(fsim, k, blocks, {&p, 1}, m); });
+  };
+  PatternBlock bad = blocks[1];
+  bad.count = 0;
+  CHECK(rejects_topoff(bad));
+  bad.count = 65;
+  CHECK(rejects_topoff(bad));
+  bad = blocks[1];
+  bad.width = cut.input_count() - 1;
+  CHECK(rejects_topoff(bad));
+  bad = blocks[1];
+  bad.input_words.pop_back();
+  CHECK(rejects_topoff(bad));
+  bad = blocks[1];
+  bad.count = 1;
+  {
+    const std::vector<PatternBlock> top{blocks[0], bad};
+    const AuditPoint p{64, top, fd};
+    CHECK_EQ(misr_aliasing_check(fsim, k, blocks, {&p, 1}, m).size(),
+             std::size_t{1});
+  }
+
+  // Below a prefix every stream block but the last must be full (lane l of
+  // block b is cycle 64b + l), and the last must reach the prefix.
+  std::vector<PatternBlock> holed = blocks;
+  holed[0].count = 63;
+  CHECK(throws_invalid_argument(
+      [&] { check_one(fsim, k, holed, 128, m, fd); }));
+  CHECK(throws_invalid_argument(
+      [&] { check_one(fsim, k, holed, 65, m, fd); }));
+  CHECK_EQ(check_one(fsim, k, holed, 63, m, fd).detected_checked,
+           std::size_t(fr.detected_at(63)));
+  std::vector<PatternBlock> short_last = blocks;
+  short_last[1].count = 10;
+  CHECK(throws_invalid_argument(
+      [&] { check_one(fsim, k, short_last, 75, m, fd); }));
+  CHECK_EQ(check_one(fsim, k, short_last, 74, m, fd).detected_checked,
+           std::size_t(fr.detected_at(74)));
+  std::vector<PatternBlock> narrow = blocks;
+  narrow[1].input_words.pop_back();
+  CHECK(throws_invalid_argument(
+      [&] { check_one(fsim, k, narrow, 128, m, fd); }));
+
+  // The golden signature reads `count` lanes of each block: more than 64
+  // would shift past the word.
+  std::vector<PatternBlock> wide = blocks;
+  wide[0].count = 65;
+  CHECK(throws_invalid_argument([&] { misr_signature(k, wide, m, 0); }));
 }
 
 void test_expand_row_reseed_overwrite() {

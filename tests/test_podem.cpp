@@ -15,6 +15,7 @@
 #include "sim/kernel.hpp"
 #include "test_util.hpp"
 #include "tpg/lfsr.hpp"
+#include "util/hash.hpp"
 
 using namespace bist;
 
@@ -130,6 +131,40 @@ int main() {
     }
     CHECK(tried > 0);      // the short LFSR phase leaves a tail
     CHECK(detected > 0);   // and PODEM cracks LFSR-resistant faults
+  }
+
+  // --- search pin over a real LFSR tail ----------------------------------
+  // Every verdict, cube, backtrack count and decision count PODEM produces
+  // on c1355s's LFSR-resistant tail at backtrack limit 100, folded into one
+  // digest.  The search is deterministic, so any change to the implication
+  // engine, objective, backtrace or pruning that is meant to be
+  // behaviour-preserving must leave this digest unchanged.
+  {
+    const Netlist n = make_iscas85("c1355s");
+    const SimKernel k(n);
+    FaultSimulator fsim(k);
+    Lfsr lfsr = Lfsr::maximal(32, 0xACE1);
+    const FaultSimResult lr = fsim.run(lfsr.blocks(n.input_count(), 1024));
+    Podem podem(k);
+    PodemOptions opt;
+    opt.backtrack_limit = 100;
+    Hasher h;
+    std::size_t tail = 0;
+    std::size_t status_count[3] = {0, 0, 0};
+    for (const std::uint32_t i : lr.tail_at(lr.patterns)) {
+      const PodemResult r = podem.generate(fsim.faults()[i], opt);
+      ++tail;
+      ++status_count[static_cast<int>(r.status) % 3];
+      h.u32(i).u8(static_cast<std::uint8_t>(r.status)).u32(r.backtracks)
+          .u64(r.decisions).u32(static_cast<std::uint32_t>(r.cube.size()));
+      for (const Ternary t : r.cube) h.u8(static_cast<std::uint8_t>(t));
+    }
+    std::printf("c1355s tail %zu: %zu detected, %zu redundant, %zu aborted, "
+                "digest %s\n",
+                tail, status_count[0], status_count[1], status_count[2],
+                h.digest().hex().c_str());
+    CHECK_EQ(tail, std::size_t{367});
+    CHECK_EQ(h.digest().hex(), std::string("b00d7119df4078a26fa1613d76353a5a"));
   }
 
   return bist_test::summary();

@@ -9,7 +9,7 @@
 #include "circuits/iscas85_family.hpp"
 #include "sim/bitpar_sim.hpp"
 #include "sim/kernel.hpp"
-#include "sim/ternary_sim.hpp"
+#include "ternary_sim.hpp"
 #include "test_util.hpp"
 #include "util/rng.hpp"
 

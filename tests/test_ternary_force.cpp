@@ -5,7 +5,7 @@
 
 #include "circuits/c17.hpp"
 #include "sim/kernel.hpp"
-#include "sim/ternary_sim.hpp"
+#include "ternary_sim.hpp"
 #include "test_util.hpp"
 
 using namespace bist;
