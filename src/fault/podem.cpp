@@ -37,7 +37,7 @@ Podem::Podem(const SimKernel& k) : k_(&k) {
   for (std::uint32_t i = 0; i < k.inputs().size(); ++i)
     pi_ordinal_[k.inputs()[i]] = i;
   in_cone_.assign(k.gate_count(), 0);
-  reach_.assign(k.gate_count(), 0);
+  seen_.assign(k.gate_count(), 0);
   // Static distance-to-PO (min fanout hops), used to steer the D-frontier
   // towards the closest output.  Kernel order is level order, so a reverse
   // sweep sees every fanout before its driver.
@@ -87,36 +87,47 @@ Ternary Podem::eval_faulty(KIndex u) const {
 void Podem::assign(std::uint32_t idx, Ternary v) {
   // Levelized event propagation from the PI: every gate is evaluated at
   // most once, in strictly increasing level order, the faulty machine only
-  // on the cone.  A PI is in the cone only as a stem-fault site, whose
-  // faulty value is the stuck value whatever the assignment.
+  // on the cone, and the walk stops at the last level that still has
+  // events — the cost follows the events, not the gate count.  A PI is in
+  // the cone only as a stem-fault site, whose faulty value is the stuck
+  // value whatever the assignment.
   const KIndex root = k_->inputs()[idx];
-  if (gv_[root] == v) return;
+  trail_.push_back({root, gv_[root], fv_[root]});
   gv_[root] = v;
   const std::uint32_t* lvl = k_->level_data();
+  std::size_t pending = 0;
   const auto schedule_fanouts = [&](KIndex g) {
     for (const KIndex f : k_->fanouts(g))
       if (!queued_[f]) {
         queued_[f] = 1;
         level_queues_[lvl[f]].push_back(f);
+        ++pending;
       }
   };
   schedule_fanouts(root);
-  for (unsigned lv = lvl[root] + 1; lv <= k_->max_level(); ++lv) {
+  for (unsigned lv = lvl[root] + 1; pending != 0; ++lv) {
     auto& q = level_queues_[lv];
-    for (std::size_t i = 0; i < q.size(); ++i) {
-      const KIndex u = q[i];
+    pending -= q.size();  // fanouts land on higher levels only
+    for (const KIndex u : q) {
       queued_[u] = 0;
       const Ternary g = eval_good(u);
-      bool changed = g != gv_[u];
+      const Ternary f = in_cone_[u] ? eval_faulty(u) : fv_[u];
+      if (g == gv_[u] && f == fv_[u]) continue;
+      trail_.push_back({u, gv_[u], fv_[u]});
       gv_[u] = g;
-      if (in_cone_[u]) {
-        const Ternary f = eval_faulty(u);
-        changed |= f != fv_[u];
-        fv_[u] = f;
-      }
-      if (changed) schedule_fanouts(u);
+      fv_[u] = f;
+      schedule_fanouts(u);
     }
     q.clear();
+  }
+}
+
+void Podem::undo(std::size_t mark) {
+  while (trail_.size() > mark) {
+    const TrailEntry& e = trail_.back();
+    gv_[e.gate] = e.good;
+    fv_[e.gate] = e.faulty;
+    trail_.pop_back();
   }
 }
 
@@ -130,33 +141,45 @@ bool Podem::detected() const {
 }
 
 bool Podem::x_path_ok() {
-  // reach_[u]: u's value is still X in one machine and a path of such
-  // unresolved gates leads from u to a primary output.  Ternary values are
-  // monotone under further PI assignment (binary never reverts to X), so a
-  // signal pair that is binary-equal is dead for good: if no difference and
-  // no unresolved site signal can reach a PO through unresolved gates, no
-  // completion of the current assignment detects the fault.
-  for (auto it = cone_.rbegin(); it != cone_.rend(); ++it) {
-    const KIndex u = *it;
-    bool r = false;
-    if (gv_[u] == Ternary::VX || fval(u) == Ternary::VX) {
-      if (k_->is_output(u)) {
-        r = true;
-      } else {
-        for (KIndex f : k_->fanouts(u))  // fanouts of cone gates stay in cone
-          if (reach_[f]) { r = true; break; }
-      }
-    }
-    reach_[u] = r;
+  // A fault effect can still reach a primary output iff a path of gates
+  // unresolved in some machine leads there from the unresolved site or from
+  // a fanout of a D gate.  Ternary values are monotone under further PI
+  // assignment (binary never reverts to X), so a signal pair that is
+  // binary-equal is dead for good: if no such path exists, no completion of
+  // the current assignment detects the fault.  One value scan collects the
+  // D gates (objective() reads them), then a depth-first search through X
+  // gates stops at the first primary output.  Fanouts of cone gates stay in
+  // the cone, so every gate visited here is a cone gate.
+  d_gates_.clear();
+  for (const KIndex u : cone_)
+    if (is_binary(gv_[u]) && is_binary(fv_[u]) && gv_[u] != fv_[u])
+      d_gates_.push_back(u);
+  if (++stamp_ == 0) {  // wrapped: clear the stale marks once
+    std::fill(seen_.begin(), seen_.end(), 0);
+    stamp_ = 1;
   }
-  if (reach_[site_]) return true;  // fault effect can still materialize here
-  for (KIndex u : cone_) {
-    const Ternary g = gv_[u];
-    const Ternary f = fval(u);
-    if (!(is_binary(g) && is_binary(f) && g != f)) continue;  // not a D signal
+  dfs_.clear();
+  const auto push = [&](KIndex u) {
+    if (seen_[u] != stamp_ && is_x(u)) {
+      seen_[u] = stamp_;
+      dfs_.push_back(u);
+    }
+  };
+  const auto reaches_po = [&] {
+    while (!dfs_.empty()) {
+      const KIndex u = dfs_.back();
+      dfs_.pop_back();
+      if (k_->is_output(u)) return true;
+      for (const KIndex f : k_->fanouts(u)) push(f);
+    }
+    return false;
+  };
+  push(site_);  // the fault effect can still materialize here
+  if (reaches_po()) return true;
+  for (const KIndex u : d_gates_) {
     if (k_->is_output(u)) return true;  // detected, caller handles first
-    for (KIndex fo : k_->fanouts(u))
-      if (reach_[fo]) return true;
+    for (const KIndex f : k_->fanouts(u)) push(f);
+    if (reaches_po()) return true;
   }
   return false;
 }
@@ -173,22 +196,19 @@ bool Podem::objective(KIndex* gate, Ternary* v) const {
   // some machine and that has a difference on a fanin (or is the site gate
   // of a branch fault, whose difference lives on the forced pin).  Among the
   // frontier gates take the one closest to a primary output: the shortest
-  // propagation path needs the fewest side-input justifications.
+  // propagation path needs the fewest side-input justifications.  Ties go
+  // to the lowest kernel index.  The frontier gates are the X fanouts of
+  // the D gates x_path_ok() just collected (plus a branch fault's site).
   KIndex best = kNoGate;
-  for (const KIndex u : cone_) {
-    if (is_binary(gv_[u]) && is_binary(fval(u)))
-      continue;
-    bool frontier = branch_fault_ && u == site_;
-    if (!frontier) {
-      for (KIndex w : k_->fanins(u)) {
-        const Ternary g = gv_[w];
-        const Ternary f = fval(w);
-        if (is_binary(g) && is_binary(f) && g != f) { frontier = true; break; }
-      }
-    }
-    if (!frontier) continue;
-    if (best == kNoGate || po_dist_[u] < po_dist_[best]) best = u;
-  }
+  const auto consider = [&](KIndex u) {
+    if (!is_x(u)) return;
+    if (best == kNoGate || po_dist_[u] < po_dist_[best] ||
+        (po_dist_[u] == po_dist_[best] && u < best))
+      best = u;
+  };
+  if (branch_fault_) consider(site_);
+  for (const KIndex d : d_gates_)
+    for (const KIndex u : k_->fanouts(d)) consider(u);
   if (best == kNoGate) return false;
   const KIndex pick = pick_x_fanin(best, /*easiest=*/false);
   if (pick == kNoGate) return false;
@@ -262,43 +282,58 @@ void Podem::backtrace(KIndex g, Ternary v, std::uint32_t* pi_idx,
 }
 
 bool Podem::search() {
-  // Cooperative stop, polled once per search node (== once per decision
-  // plus the root): a node costs a full ternary simulate, orders of
-  // magnitude above the poll, so cancellation latency is one node while an
-  // undeadlined search is untouched — the poll reads a clock and a flag,
-  // never search state.  Reuses the abort unwinding (no second branches),
-  // so the whole stack collapses immediately.
-  if (deadline_ && deadline_->should_stop()) {
-    cancelled_ = true;
-    aborted_ = true;
-    return false;
+  // Depth-first over the decision stack.  Each pass of the outer loop is
+  // one search node; a failed node backtracks: the innermost decision that
+  // has not been flipped yet is undone and retried with the opposite value,
+  // the flipped ones above it are undone and dropped.
+  for (;;) {
+    // Cooperative stop, polled once per search node (== once per decision
+    // plus the root): a node costs a ternary implication, orders of
+    // magnitude above the poll, so cancellation latency is one node while
+    // an undeadlined search is untouched — the poll reads a clock and a
+    // flag, never search state.
+    if (deadline_ && deadline_->should_stop()) {
+      cancelled_ = true;
+      aborted_ = true;
+      return false;
+    }
+    if (detected()) return true;
+    KIndex og;
+    Ternary ov;
+    // Prune when activation is impossible under this cube, when every
+    // propagation path is dead, or when no objective is left.
+    if (gv_[line_] != stuck_t_ && x_path_ok() && objective(&og, &ov)) {
+      std::uint32_t idx;
+      Ternary v;
+      backtrace(og, ov, &idx, &v);
+      ++decisions_;
+      decisions_stack_.push_back({idx, v, false, trail_.size()});
+      assign(idx, v);
+      continue;
+    }
+    for (;;) {
+      if (decisions_stack_.empty()) return false;  // exhausted: redundant
+      Decision& d = decisions_stack_.back();
+      undo(d.mark);
+      if (d.flipped) {
+        decisions_stack_.pop_back();
+        continue;
+      }
+      // An abort collapses the whole stack: nothing above it is retried.
+      if (++backtracks_ > limit_) {
+        aborted_ = true;
+        return false;
+      }
+      d.flipped = true;
+      assign(d.pi, t_not(d.value));
+      break;
+    }
   }
-  if (detected()) return true;
-  const Ternary lg = gv_[line_];
-  if (lg == stuck_t_) return false;  // activation impossible under this cube
-  if (!x_path_ok()) return false;    // every propagation path is dead
-  KIndex og;
-  Ternary ov;
-  if (!objective(&og, &ov)) return false;
-  std::uint32_t idx;
-  Ternary v;
-  backtrace(og, ov, &idx, &v);
-
-  ++decisions_;
-  assign(idx, v);
-  if (search()) return true;
-  if (!aborted_ && ++backtracks_ > limit_) aborted_ = true;
-  if (aborted_) {
-    assign(idx, Ternary::VX);
-    return false;
-  }
-  assign(idx, t_not(v));
-  if (search()) return true;
-  assign(idx, Ternary::VX);
-  return false;
 }
 
 PodemResult Podem::generate(const Fault& f, const PodemOptions& opt) {
+  if (f.gate >= k_->gate_count())
+    throw std::out_of_range("Podem::generate: fault gate out of range");
   site_ = k_->index_of(f.gate);
   branch_fault_ = !f.is_output_fault();
   stuck_t_ = f.stuck ? Ternary::V1 : Ternary::V0;
@@ -314,6 +349,8 @@ PodemResult Podem::generate(const Fault& f, const PodemOptions& opt) {
   // Every PI at X; the faulty machine settled over the cone in level order.
   gv_ = x_state_;
   for (const KIndex u : cone_) fv_[u] = eval_faulty(u);
+  trail_.clear();
+  decisions_stack_.clear();
 
   backtracks_ = 0;
   decisions_ = 0;

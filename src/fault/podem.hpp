@@ -19,6 +19,19 @@
 // assignment — so an exhausted search proves the fault redundant.  Searches
 // that hit the backtrack limit are reported Aborted, separately from
 // Redundant.
+//
+// Cost per search node:
+//  - Decisions live on an explicit stack (PI, value, trail mark, flipped),
+//    not on the call stack, so a decision path as long as the PI count
+//    costs heap memory only and never overflows a thread's stack.
+//  - Every implication records the gates whose (good, faulty) pair changed
+//    on a trail together with the old pair.  Backtracking pops the trail
+//    back to the decision's mark instead of re-propagating X: the implied
+//    state is a pure function of the PI assignment, so the restore is exact.
+//  - The X-path check scans the cone once for the D gates and then runs a
+//    depth-first search through X-valued gates that stops at the first
+//    primary output; the objective takes its D-frontier from the same D
+//    list instead of rescanning the cone.
 
 #include <cstdint>
 #include <memory>
@@ -36,7 +49,7 @@ namespace bist {
 class WorkerPool;
 
 enum class PodemStatus : std::uint8_t {
-  Detected,   ///< test cube found (and verified by the lock-step sims)
+  Detected,   ///< a primary output carries a binary difference under the cube
   Redundant,  ///< search space exhausted: no test exists
   Aborted,    ///< backtrack limit hit before a verdict
   Cancelled,  ///< deadline/cancel fired mid-search: NO verdict — unlike
@@ -73,9 +86,11 @@ struct PodemResult {
 ///
 /// Reuse contract (what lets pooled workers hold one engine each): generate()
 /// starts from the engine's all-X state (computed once, at construction) and
-/// resets every per-fault field, so the result of a call depends only on
-/// (kernel, fault, options) — never on the faults generated before it.  The
-/// engine carries no RNG; the search is fully deterministic.
+/// resets every per-fault field (trail and decision stack included; the
+/// X-path check's visited marks are stamped per call), so the result of a
+/// call depends only on (kernel, fault, options) — never on the faults
+/// generated before it.  The engine carries no RNG; the search is fully
+/// deterministic.
 class Podem {
  public:
   explicit Podem(const SimKernel& k);
@@ -86,17 +101,36 @@ class Podem {
   /// Faulty-machine value: its own inside the fault cone, the good value
   /// outside it.
   Ternary fval(KIndex u) const { return in_cone_[u] ? fv_[u] : gv_[u]; }
+  /// Unresolved in some machine (cone gates only).
+  bool is_x(KIndex u) const {
+    return gv_[u] == Ternary::VX || fv_[u] == Ternary::VX;
+  }
   Ternary eval_good(KIndex u) const;
   Ternary eval_faulty(KIndex u) const;
-  /// Assign PI `idx` (VX = unassign) and propagate both machines.
+  /// Assign binary `v` to the unassigned PI `idx` and propagate both
+  /// machines, recording every changed pair on the trail.
   void assign(std::uint32_t idx, Ternary v);
+  /// Restore every pair recorded after trail position `mark`.
+  void undo(std::size_t mark);
   bool detected() const;
+  /// Also fills d_gates_, which objective() reads.
   bool x_path_ok();
   bool objective(KIndex* gate, Ternary* v) const;
   KIndex pick_x_fanin(KIndex g, bool easiest) const;
   void backtrace(KIndex g, Ternary v, std::uint32_t* pi_idx, Ternary* pv) const;
   bool search();
   void build_cone(KIndex site);
+
+  struct TrailEntry {
+    KIndex gate;
+    Ternary good, faulty;  // the pair before the change
+  };
+  struct Decision {
+    std::uint32_t pi;
+    Ternary value;
+    bool flipped;
+    std::size_t mark;  // trail size before the decision's implication
+  };
 
   const SimKernel* k_;
   std::vector<Ternary> x_state_;  // good values with every PI at X
@@ -115,7 +149,12 @@ class Podem {
   Ternary stuck_t_ = Ternary::V0;
   std::vector<KIndex> cone_;     // transitive fanout of site_ incl site_, ascending
   std::vector<char> in_cone_;
-  std::vector<char> reach_;      // x_path_ok scratch, valid on cone_ only
+  std::vector<TrailEntry> trail_;
+  std::vector<Decision> decisions_stack_;
+  std::vector<KIndex> d_gates_;       // D gates of the cone, ascending
+  std::vector<KIndex> dfs_;           // x_path_ok scratch
+  std::vector<std::uint32_t> seen_;   // x_path_ok visited marks
+  std::uint32_t stamp_ = 0;           // current seen_ mark
   std::uint32_t backtracks_ = 0;
   std::uint64_t decisions_ = 0;
   std::uint32_t limit_ = 0;

@@ -2,9 +2,15 @@
 // conditions of a hand-analyzed fault, redundancy recognition, abort
 // reporting) plus the property test: every cube PODEM emits is confirmed by
 // the PPSFP fault simulator to detect its target fault — under both all-0
-// and all-1 completion of the don't-care bits.
+// and all-1 completion of the don't-care bits.  Search pins fold every
+// verdict over real LFSR tails into digests; engine reuse (any fault order)
+// and PodemBatch (any worker count) must reproduce them; a decision path
+// hundreds of thousands deep must not exhaust a thread's stack.
 
+#include <algorithm>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "circuits/c17.hpp"
@@ -26,6 +32,18 @@ BitVec fill(const std::vector<Ternary>& cube, bool x_value) {
   for (std::size_t i = 0; i < cube.size(); ++i)
     p.set(i, cube[i] == Ternary::VX ? x_value : cube[i] == Ternary::V1);
   return p;
+}
+
+// Folds one verdict into a search digest (fault id, status, counts, cube).
+void hash_result(Hasher& h, std::uint32_t fault, const PodemResult& r) {
+  h.u32(fault).u8(static_cast<std::uint8_t>(r.status)).u32(r.backtracks)
+      .u64(r.decisions).u32(static_cast<std::uint32_t>(r.cube.size()));
+  for (const Ternary t : r.cube) h.u8(static_cast<std::uint8_t>(t));
+}
+
+bool same_result(const PodemResult& a, const PodemResult& b) {
+  return a.status == b.status && a.cube == b.cube &&
+         a.backtracks == b.backtracks && a.decisions == b.decisions;
 }
 
 // True iff `pattern` detects f, via the PPSFP propagate (single lane).
@@ -155,9 +173,7 @@ int main() {
       const PodemResult r = podem.generate(fsim.faults()[i], opt);
       ++tail;
       ++status_count[static_cast<int>(r.status) % 3];
-      h.u32(i).u8(static_cast<std::uint8_t>(r.status)).u32(r.backtracks)
-          .u64(r.decisions).u32(static_cast<std::uint32_t>(r.cube.size()));
-      for (const Ternary t : r.cube) h.u8(static_cast<std::uint8_t>(t));
+      hash_result(h, i, r);
     }
     std::printf("c1355s tail %zu: %zu detected, %zu redundant, %zu aborted, "
                 "digest %s\n",
@@ -165,6 +181,123 @@ int main() {
                 h.digest().hex().c_str());
     CHECK_EQ(tail, std::size_t{367});
     CHECK_EQ(h.digest().hex(), std::string("b00d7119df4078a26fa1613d76353a5a"));
+  }
+
+  // --- search pins on the control-dominated surrogates --------------------
+  // Same digest as above over every 4th fault of the c2670s and c3540s LFSR
+  // tails (1280-pattern prefix, limit 100): these carry the deep searches
+  // and most of the backtracks.  The same engine then replays the list in
+  // reverse order — any state left behind by a previous fault (an undone
+  // implication, a stale visited mark) would change a verdict — and
+  // PodemBatch replays it at 1, 2 and 3 workers.
+  {
+    struct Pin {
+      const char* circuit;
+      std::size_t faults;
+      const char* digest;
+    };
+    for (const Pin& pin :
+         {Pin{"c2670s", 452, "07894d5c4a1a9a29b2c9bc6a27105e0b"},
+          Pin{"c3540s", 566, "87886a99a74ee1d5843e39eca6ea0c09"}}) {
+      const Netlist n = make_iscas85(pin.circuit);
+      const SimKernel k(n);
+      FaultSimulator fsim(k);
+      Lfsr lfsr = Lfsr::maximal(32, 0xBADC0FFE);
+      const FaultSimResult lr = fsim.run(lfsr.blocks(n.input_count(), 1280));
+      const std::vector<std::uint32_t> tail = lr.tail_at(lr.patterns);
+      std::vector<std::uint32_t> ids;
+      std::vector<Fault> faults;
+      for (std::size_t j = 0; j < tail.size(); j += 4) {
+        ids.push_back(tail[j]);
+        faults.push_back(fsim.faults()[tail[j]]);
+      }
+      PodemOptions opt;
+      opt.backtrack_limit = 100;
+      Podem podem(k);
+      std::vector<PodemResult> forward;
+      Hasher h;
+      for (std::size_t j = 0; j < faults.size(); ++j) {
+        forward.push_back(podem.generate(faults[j], opt));
+        hash_result(h, ids[j], forward.back());
+      }
+      std::printf("%s every 4th tail fault: %zu, digest %s\n", pin.circuit,
+                  faults.size(), h.digest().hex().c_str());
+      CHECK_EQ(faults.size(), pin.faults);
+      CHECK_EQ(h.digest().hex(), std::string(pin.digest));
+
+      bool reverse_same = true;
+      for (std::size_t j = faults.size(); j-- > 0;)
+        reverse_same &= same_result(podem.generate(faults[j], opt), forward[j]);
+      CHECK(reverse_same);
+
+      for (const unsigned threads : {1u, 2u, 3u}) {
+        PodemBatch batch(k, threads);
+        const std::vector<PodemResult> got = batch.generate(faults, opt);
+        bool batch_same = got.size() == forward.size();
+        for (std::size_t j = 0; batch_same && j < got.size(); ++j)
+          batch_same = same_result(got[j], forward[j]);
+        CHECK(batch_same);
+      }
+    }
+  }
+
+  // --- fault site out of range ------------------------------------------
+  {
+    const Netlist c17 = make_c17();
+    const SimKernel k(c17);
+    Podem podem(k);
+    for (const GateId bad : {static_cast<GateId>(c17.gate_count()), kNoGate}) {
+      bool threw = false;
+      try {
+        podem.generate({bad, -1, 0});
+      } catch (const std::out_of_range&) {
+        threw = true;
+      }
+      CHECK(threw);
+    }
+  }
+
+  // --- a decision path 400k deep ----------------------------------------
+  // root = AND over 400k inputs through a fanin-64 tree.  Root s-a-0 needs
+  // every input at 1, and every input is one decision on a single search
+  // path (no backtracks).  The engine runs on a worker thread with the
+  // default stack, where one call frame per decision would overflow.
+  {
+    constexpr std::size_t kInputs = 400000;
+    Netlist n("and_tree");
+    std::vector<GateId> layer;
+    for (std::size_t i = 0; i < kInputs; ++i)
+      layer.push_back(n.add_input("i" + std::to_string(i)));
+    while (layer.size() > 1) {
+      std::vector<GateId> next;
+      for (std::size_t b = 0; b < layer.size(); b += 64) {
+        const std::size_t e = std::min(layer.size(), b + 64);
+        next.push_back(n.add_gate(
+            GateType::And, std::span<const GateId>(layer).subspan(b, e - b)));
+      }
+      layer = std::move(next);
+    }
+    n.add_output(layer[0]);
+    n.freeze();
+    const SimKernel k(n);
+    PodemResult r;
+    std::string error;
+    std::thread worker([&] {
+      try {
+        Podem podem(k);
+        r = podem.generate({layer[0], -1, 0});
+      } catch (const std::exception& e) {
+        error = e.what();
+      }
+    });
+    worker.join();
+    CHECK_EQ(error, std::string());
+    CHECK_EQ(int(r.status), int(PodemStatus::Detected));
+    CHECK_EQ(r.decisions, std::uint64_t{kInputs});
+    CHECK_EQ(r.backtracks, 0u);
+    bool all_ones = r.cube.size() == kInputs;
+    for (const Ternary t : r.cube) all_ones &= t == Ternary::V1;
+    CHECK(all_ones);
   }
 
   return bist_test::summary();
