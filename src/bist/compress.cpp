@@ -6,7 +6,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "sim/bitpar_sim.hpp"
+#include "sim/pattern_block.hpp"
 #include "tpg/lfsr.hpp"
 #include "util/parallel.hpp"
 

@@ -4,6 +4,7 @@
 #include <string>
 
 #include "sim/kernel.hpp"
+#include "sim/pattern_block.hpp"
 #include "tpg/lfsr.hpp"
 
 namespace bist {

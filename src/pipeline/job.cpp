@@ -461,11 +461,4 @@ BatchResult run_job_batch(std::span<const JobSpec> specs,
   return out;
 }
 
-std::vector<JobReport> run_job_batch(std::span<const JobSpec> specs,
-                                     unsigned threads) {
-  BatchOptions opt;
-  opt.threads = threads;
-  return run_job_batch(specs, opt).reports;
-}
-
 }  // namespace bist

@@ -195,10 +195,6 @@ struct BatchResult {
 BatchResult run_job_batch(std::span<const JobSpec> specs,
                           const BatchOptions& opt);
 
-/// Compatibility overload: no store, no manifest.
-std::vector<JobReport> run_job_batch(std::span<const JobSpec> specs,
-                                     unsigned threads);
-
 /// Fault-injection hook for the containment test suite.  After
 /// set_injected_failure("sweep", "c880"), the sweep stage of any job named
 /// "c880" throws std::runtime_error at entry; every other job and stage is

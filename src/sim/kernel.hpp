@@ -40,7 +40,7 @@
 #include <vector>
 
 #include "netlist/netlist.hpp"
-#include "sim/bitpar_sim.hpp"
+#include "sim/pattern_block.hpp"
 #include "sim/simword.hpp"
 
 namespace bist {
@@ -191,9 +191,9 @@ auto eval_reduce(MicroOp op, std::uint64_t inv, std::uint32_t b,
   return v ^ w_broadcast<Word>(inv);
 }
 
-/// Bit-parallel 2-valued simulator running on a SimKernel (the fast path;
-/// BitParSim in bitpar_sim.hpp is the seed reference loop kept for
-/// differential testing and benchmarking).  Each evaluation pass carries
+/// Bit-parallel 2-valued simulator running on a SimKernel (the seed
+/// per-gate loop survives only as the test oracle tests/bitpar_sim.hpp).
+/// Each evaluation pass carries
 /// W x 64 patterns: a group of up to W consecutive 64-lane PatternBlocks is
 /// simulated at once, block j occupying sub-word j (pattern lane j*64 + L =
 /// lane L of block j).  PatternBlock itself stays the 64-lane unit, so the

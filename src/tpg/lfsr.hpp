@@ -12,7 +12,7 @@
 
 #include <cstdint>
 
-#include "sim/bitpar_sim.hpp"
+#include "sim/pattern_block.hpp"
 #include "util/bitvec.hpp"
 
 namespace bist {

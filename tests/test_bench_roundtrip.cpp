@@ -4,11 +4,11 @@
 
 #include <sstream>
 
+#include "bitpar_sim.hpp"
 #include "circuits/c17.hpp"
 #include "circuits/generators.hpp"
 #include "netlist/bench_io.hpp"
 #include "netlist/stats.hpp"
-#include "sim/bitpar_sim.hpp"
 #include "test_util.hpp"
 #include "util/rng.hpp"
 

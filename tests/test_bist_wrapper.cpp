@@ -59,6 +59,10 @@ void check_wrapper(const Netlist& cut, const BistPlan& plan,
   CHECK_EQ(syn.wrapper.output_count(), cut.output_count() + plan.lfsr_degree +
                                            syn.counter_bits + K +
                                            (K > 0 ? 1 : 0));
+  // The wrapper is its state inputs, the BIST logic and the CUT copy and
+  // nothing else — the bench derives bist_gates from that.
+  CHECK_EQ(syn.wrapper.gate_count(),
+           plan.area.state_bits + syn.bist_gates + cut.logic_gate_count());
 
   // The synthesizer's per-block accounting is exact: wrapper area minus the
   // CUT copy equals the emitted BIST logic (state bits are priced as

@@ -16,7 +16,7 @@
 #include "circuits/iscas85_family.hpp"
 #include "fault/fault_sim.hpp"
 #include "netlist/builder.hpp"
-#include "sim/bitpar_sim.hpp"
+#include "sim/pattern_block.hpp"
 #include "sim/kernel.hpp"
 #include "ternary_sim.hpp"
 #include "test_util.hpp"

@@ -1,7 +1,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "sim/bitpar_sim.hpp"
+#include "sim/pattern_block.hpp"
 #include "test_util.hpp"
 #include "util/rng.hpp"
 

@@ -432,6 +432,13 @@ static void test_sweep_midflight_degradation() {
   }
 }
 
+// The batch driver at four workers, no store and no manifest.
+static std::vector<JobReport> run_batch4(std::span<const JobSpec> specs) {
+  BatchOptions bo;
+  bo.threads = 4;
+  return run_job_batch(specs, bo).reports;
+}
+
 static void test_zero_deadline_full_family_degraded() {
   // Satellite (c): a near-zero deadline across the WHOLE surrogate family
   // still produces, for every circuit, a degraded LFSR-only plan whose
@@ -445,7 +452,7 @@ static void test_zero_deadline_full_family_degraded() {
     s.sweep_deadline_s = 1e-9;
     specs.push_back(std::move(s));
   }
-  const std::vector<JobReport> reps = run_job_batch(specs, 4);
+  const std::vector<JobReport> reps = run_batch4(specs);
   CHECK_EQ(reps.size(), specs.size());
   for (const JobReport& r : reps) {
     CHECK(r.status.code == StageCode::DeadlineExceeded);
@@ -487,7 +494,7 @@ static bool reports_payload_equal(const JobReport& a, const JobReport& b) {
 
 static void test_job_stage_containment() {
   const std::vector<JobSpec> specs = containment_specs();
-  const std::vector<JobReport> base = run_job_batch(specs, 4);
+  const std::vector<JobReport> base = run_batch4(specs);
   CHECK_EQ(base.size(), specs.size());
   for (const JobReport& r : base) {
     CHECK(r.status.ok());
@@ -503,7 +510,7 @@ static void test_job_stage_containment() {
   const char* stages[] = {"parse", "sweep", "schedule", "synth", "verify"};
   for (std::size_t si = 0; si < 5; ++si) {
     set_injected_failure(stages[si], "c432s");
-    const std::vector<JobReport> reps = run_job_batch(specs, 4);
+    const std::vector<JobReport> reps = run_batch4(specs);
     clear_injected_failure();
     CHECK_EQ(reps.size(), specs.size());
     for (std::size_t j = 0; j < reps.size(); ++j) {
@@ -533,7 +540,7 @@ static void test_job_stage_containment() {
 
   // The batch machinery is reusable after every injected round and yields
   // the failure-free result again.
-  const std::vector<JobReport> again = run_job_batch(specs, 4);
+  const std::vector<JobReport> again = run_batch4(specs);
   for (std::size_t j = 0; j < again.size(); ++j)
     CHECK(reports_payload_equal(again[j], base[j]));
 }

@@ -6,8 +6,8 @@
 #include <iostream>
 #include <vector>
 
+#include "bitpar_sim.hpp"
 #include "circuits/iscas85_family.hpp"
-#include "sim/bitpar_sim.hpp"
 #include "sim/kernel.hpp"
 #include "ternary_sim.hpp"
 #include "test_util.hpp"
